@@ -3,11 +3,12 @@
 
     python3 perfbench/run.py --workload <name> --seed <n> --seconds <s> --trace <0|1>
 
-Run from the repository root. The first run configures and builds the
+Run from the repository root. Every run configures and builds the
 benchmark and the libraries under src/ into $CARGO_TARGET_DIR (default
-.bench_build); later runs only rebuild what changed. Build output goes to
-stderr. The benchmark's report goes to stdout, whose last line is the
-JSON result; a copy of the report is saved under <build dir>/results/.
+.bench_build); the first run builds everything, later runs only what
+changed. Build output goes to stderr. The benchmark's report goes to
+stdout, whose last line is the JSON result; a copy of the report is
+saved under <build dir>/results/.
 Exits non-zero, without a result, if the build or the run fails.
 """
 import argparse
@@ -21,11 +22,13 @@ RUN_TIMEOUT_S = 170
 
 
 def build(build_dir):
-    if not os.path.exists(os.path.join(build_dir, "Makefile")):
-        subprocess.run(
-            ["cmake", "-S", os.path.join(ROOT, "perfbench"), "-B", build_dir,
-             "-DCMAKE_BUILD_TYPE=Release"],
-            check=True, stdout=sys.stderr, stderr=sys.stderr)
+    # Configure every time: it is cheap when nothing changed, works with
+    # any CMAKE_GENERATOR, and resets the build type and compiler flags of
+    # a tree configured with others (the benchmark has one configuration).
+    subprocess.run(
+        ["cmake", "-S", os.path.join(ROOT, "perfbench"), "-B", build_dir,
+         "-DCMAKE_BUILD_TYPE=Release", "-DCMAKE_CXX_FLAGS="],
+        check=True, stdout=sys.stderr, stderr=sys.stderr)
     subprocess.run(
         ["cmake", "--build", build_dir, "--target", "agbench", "-j", "4"],
         check=True, stdout=sys.stderr, stderr=sys.stderr)

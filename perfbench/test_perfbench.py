@@ -7,9 +7,13 @@ Builds agbench through run.py and runs every workload briefly. Checks:
   - the exact counters repeat bit for bit across two traced runs;
   - cold_start_agc compiles no plan and allocates nothing while loading,
     cold_start_pym compiles plans;
-  - in each traced run the layer rows plus `unattributed` add up to the
-    op's wall time, no row set exceeds the wall, and the unattributed
-    share stays below UNATTRIBUTED_MAX.
+  - the traced breakdown: `unattributed` is the op's wall time minus its
+    layer rows, so rows plus `unattributed` equal the wall by
+    construction. What can fail, and is checked: every row is >= 0 (some
+    rows are differences of separately timed calls), the rows overshoot
+    the wall by at most OVERSHOOT_TOLERANCE of it, `unattributed` stays
+    below UNATTRIBUTED_MAX of it, and on rnn_serve one in-process
+    ServerCore::Call takes at least its mean queue wait.
 """
 import json
 import os
@@ -20,10 +24,8 @@ import unittest
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SECONDS = "1"
-# Rows + unattributed must equal the wall within this share of it, and
-# the rows may overshoot the wall by at most this share (clock reads of
-# separately timed calls).
-SUM_TOLERANCE = 0.01
+# The rows may overshoot the op's wall by at most this share of it
+# (rows taken from separately timed calls).
 OVERSHOOT_TOLERANCE = 0.02
 UNATTRIBUTED_MAX = 0.5
 
@@ -90,13 +92,16 @@ class Benchmark(unittest.TestCase):
                                      second["metrics"][name]["value"], name)
 
                 b = info["breakdown"]
-                wall, rows = b["wall_us"], sum(b["rows"].values())
-                self.assertAlmostEqual(rows + b["unattributed_us"], wall,
-                                       delta=SUM_TOLERANCE * wall)
+                wall = b["wall_us"]
+                for name, us in b["rows"].items():
+                    self.assertGreaterEqual(us, 0, name)
                 self.assertGreaterEqual(b["unattributed_us"], -OVERSHOOT_TOLERANCE * wall)
                 self.assertLessEqual(b["unattributed_us"], UNATTRIBUTED_MAX * wall)
 
                 m = {k: v["value"] for k, v in first["metrics"].items()}
+                if workload == "rnn_serve":
+                    self.assertGreaterEqual(m["serve.core_call_us"],
+                                            m["serve.queue_wait_us"])
                 if workload == "cold_start_agc":
                     self.assertEqual(m["exec.plans_compiled"], 0)
                     self.assertEqual(m["artifact.load_allocs"], 0)
