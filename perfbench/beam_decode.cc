@@ -91,7 +91,7 @@ RunResult RunBeamDecode(const Args& args) {
   Samples traced;
   BreakdownMean breakdown;
   int64_t hits = 0, acquires = 0;
-  const double wall_s = RunFor(args.seconds, [&](int64_t i) {
+  const std::vector<Window> windows = RunFor(args.seconds, [&](int64_t i) {
     const size_t k = static_cast<size_t>(i % kSearches);
     const std::vector<ag::exec::RuntimeValue> feeds = AsFeeds(searches[k]);
     // With --trace 1, every other op runs with step stats so the two
@@ -132,7 +132,7 @@ RunResult RunBeamDecode(const Args& args) {
   }, args.trace ? nullptr : &sampler);
 
   if (!args.trace) {
-    SetLatencyMetrics(untraced, wall_s, sampler, &result);
+    SetLatencyMetrics(untraced, windows, sampler, &result);
     return result;
   }
   // Exact counters: one more pass over every search, after the timed

@@ -136,7 +136,7 @@ void TimedPhase(const Args& args, const std::vector<Tensor>& ref,
   Samples untraced;
   Samples traced;
   BreakdownMean breakdown;
-  const double wall_s = RunFor(args.seconds, [&](int64_t i) {
+  const std::vector<Window> windows = RunFor(args.seconds, [&](int64_t i) {
     const bool trace = args.trace && i % 2 == 1;
     Breakdown b;
     Started s = start(trace ? &b : nullptr);
@@ -151,7 +151,7 @@ void TimedPhase(const Args& args, const std::vector<Tensor>& ref,
     breakdown.Add(b);
   }, args.trace ? nullptr : sampler);
   if (!args.trace) {
-    SetLatencyMetrics(untraced, wall_s, *sampler, result);
+    SetLatencyMetrics(untraced, windows, *sampler, result);
     return;
   }
   breakdown.Report("unattributed_us", result);

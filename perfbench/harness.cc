@@ -1,5 +1,6 @@
 #include "harness.h"
 
+#include <sched.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -48,6 +49,13 @@ double Samples::Percentile(double p) const {
   return SortedQuantile(sorted, p / 100.0);
 }
 
+Samples Samples::Slice(size_t begin, size_t end) const {
+  Samples out;
+  out.us_.assign(us_.begin() + static_cast<std::ptrdiff_t>(begin),
+                 us_.begin() + static_cast<std::ptrdiff_t>(end));
+  return out;
+}
+
 double Samples::Median() const { return Percentile(50.0); }
 
 double Samples::Mean() const {
@@ -69,13 +77,13 @@ SetupSampler::SetupSampler(std::function<void()> setup,
       teardown_(std::move(teardown)),
       interval_ns_(static_cast<int64_t>(interval_s * 1e9)) {}
 
-int64_t SetupSampler::Sample() {
+int64_t SetupSampler::Sample(size_t position) {
   const int64_t start = NowNs();
   if (next_due_ns_ == 0) next_due_ns_ = start;
   for (; next_due_ns_ <= start; next_due_ns_ += interval_ns_) {
     const int64_t t0 = NowNs();
     setup_();
-    seconds_.push_back(static_cast<double>(NowNs() - t0) * 1e-9);
+    taken_.emplace_back(position, static_cast<double>(NowNs() - t0) * 1e-9);
     teardown_();
   }
   // Sampling never takes more than a tenth of the run.
@@ -84,43 +92,107 @@ int64_t SetupSampler::Sample() {
   return now - start;
 }
 
-double SetupSampler::MedianSeconds() const {
-  std::vector<double> sorted = seconds_;
+double SetupSampler::MedianSeconds(const std::vector<Window>& windows) const {
+  std::vector<double> inside;
+  std::vector<double> all;
+  for (const auto& [position, seconds] : taken_) {
+    all.push_back(seconds);
+    for (const Window& w : windows) {
+      if (position > w.begin && position <= w.end) inside.push_back(seconds);
+    }
+  }
+  std::vector<double>& sorted = inside.empty() ? all : inside;
   std::sort(sorted.begin(), sorted.end());
   return SortedQuantile(sorted, 0.5);
 }
 
-double RunFor(double seconds, const std::function<void(int64_t)>& op,
-              SetupSampler* sampler) {
-  const int64_t t0 = NowNs();
-  const int64_t end = t0 + static_cast<int64_t>(seconds * 1e9);
-  int64_t sampling_ns = 0;
-  int64_t now = t0;
-  for (int64_t i = 0; now < end; ++i) {
+std::vector<Window> RunFor(double seconds, const std::function<void(int64_t)>& op,
+                           SetupSampler* sampler) {
+  const int64_t end = NowNs() + static_cast<int64_t>(seconds * 1e9);
+  const auto window_ns = static_cast<int64_t>(seconds * 1e9 / kWindowsPerRun);
+  std::vector<Window> windows;
+  Window window;
+  int64_t window_op_ns = 0;
+  for (int64_t i = 0; NowNs() < end; ++i) {
+    const int64_t t0 = NowNs();
     op(i);
-    if (sampler != nullptr) sampling_ns += sampler->Sample();
-    now = NowNs();
+    window_op_ns += NowNs() - t0;
+    window.end = static_cast<size_t>(i) + 1;
+    if (window_op_ns >= window_ns) {
+      window.wall_s = static_cast<double>(window_op_ns) * 1e-9;
+      windows.push_back(window);
+      window = Window{window.end, window.end, 0.0};
+      window_op_ns = 0;
+    }
+    if (sampler != nullptr) (void)sampler->Sample(window.end);
   }
-  return static_cast<double>(now - t0 - sampling_ns) * 1e-9;
+  if (window.end > window.begin) {
+    window.wall_s = static_cast<double>(window_op_ns) * 1e-9;
+    windows.push_back(window);
+  }
+  return windows;
 }
 
-void SetLatencyMetrics(const Samples& samples, double wall_s,
+void SetLatencyMetrics(const Samples& samples, const std::vector<Window>& windows,
                        const SetupSampler& sampler, RunResult* result) {
+  std::vector<std::pair<double, const Window*>> by_median;
+  for (const Window& w : windows) {
+    if (w.end > w.begin) by_median.emplace_back(samples.Slice(w.begin, w.end).Median(), &w);
+  }
+  std::sort(by_median.begin(), by_median.end(),
+            [](const auto& a, const auto& b) { return a.first > b.first; });
+  const auto kept_n = static_cast<size_t>(
+      std::ceil(kKeptShare * static_cast<double>(by_median.size())));
+  Samples kept;
+  std::vector<Window> kept_windows;
+  double kept_wall_s = 0.0;
+  std::string medians_json;
+  for (size_t i = 0; i < by_median.size(); ++i) {
+    const Window& w = *by_median[i].second;
+    if (i < kept_n) {
+      kept.Append(samples.Slice(w.begin, w.end));
+      kept_windows.push_back(w);
+      kept_wall_s += w.wall_s;
+    }
+    medians_json += (medians_json.empty() ? "" : ", ") + JsonNumber(by_median[i].first);
+  }
+
   double percentile = 0.0;
-  const double tail = samples.Tail(&percentile);
-  result->Set("p50_us", samples.Median(), "us");
+  const double tail = kept.Tail(&percentile);
+  result->Set("p50_us", kept.Median(), "us");
   result->Set("tail_us", tail, "us");
-  result->Set("ops_per_s", static_cast<double>(samples.size()) / wall_s,
-              "1/s");
-  result->Set("setup_s", sampler.MedianSeconds(), "s");
+  result->Set("ops_per_s", static_cast<double>(kept.size()) / kept_wall_s, "1/s");
+  result->Set("setup_s", sampler.MedianSeconds(kept_windows), "s");
   result->Set("peak_rss_mb", PeakRssMb(), "MiB");
-  result->info["latency_us"] = "{\"p50\": " + JsonNumber(samples.Median()) +
-                               ", \"p90\": " + JsonNumber(samples.Percentile(90.0)) +
-                               ", \"p99\": " + JsonNumber(samples.Percentile(99.0)) + "}";
+  const auto quantiles = [](const Samples& s) {
+    return "{\"p50\": " + JsonNumber(s.Median()) + ", \"p90\": " +
+           JsonNumber(s.Percentile(90.0)) + ", \"p99\": " + JsonNumber(s.Percentile(99.0)) +
+           "}";
+  };
+  result->info["latency_us_kept"] = quantiles(kept);
+  result->info["latency_us_all"] = quantiles(samples);
+  result->info["windows"] =
+      "{\"run\": " + JsonNumber(static_cast<double>(by_median.size())) +
+      ", \"kept\": " + JsonNumber(static_cast<double>(kept_n)) +
+      ", \"median_us_kept_first\": [" + medians_json + "]}";
   result->info["tail_percentile"] = JsonNumber(percentile);
-  result->info["tail_samples"] = JsonNumber(static_cast<double>(samples.size()));
-  result->info["timed_wall_s"] = JsonNumber(wall_s);
+  result->info["tail_samples"] = JsonNumber(static_cast<double>(kept.size()));
+  result->info["timed_wall_s"] = JsonNumber(kept_wall_s);
   result->info["setup_samples"] = JsonNumber(static_cast<double>(sampler.count()));
+}
+
+int PinToOneCpu() {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return -1;
+  for (int cpu = CPU_SETSIZE - 1; cpu >= 0; --cpu) {
+    if (!CPU_ISSET(cpu, &allowed)) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    return sched_setaffinity(0, sizeof(one), &one) == 0 ? cpu : -1;
+  }
+  return -1;
 }
 
 double PeakRssMb() {

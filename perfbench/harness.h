@@ -67,6 +67,8 @@ class Samples {
   void Append(const Samples& other) {
     us_.insert(us_.end(), other.us_.begin(), other.us_.end());
   }
+  // Samples [begin, end).
+  [[nodiscard]] Samples Slice(size_t begin, size_t end) const;
   [[nodiscard]] size_t size() const { return us_.size(); }
   [[nodiscard]] double Percentile(double p) const;  // p in [0, 100]
   [[nodiscard]] double Median() const;
@@ -81,44 +83,81 @@ class Samples {
   std::vector<double> us_;
 };
 
+// One stretch of a timed phase: the latency samples [begin, end) of the
+// phase and the wall time their ops took.
+struct Window {
+  size_t begin = 0;
+  size_t end = 0;
+  double wall_s = 0.0;
+};
+
 // Times the workload's set-up repeatedly, spread over the whole timed
 // phase: Sample() runs every set-up that has come due (one per
 // `interval_s`, stretched so sampling stays within a tenth of the run)
 // and returns the nanoseconds it spent, which the timed loop leaves out
-// of its own wall time. One set-up of a few ms varies by
-// +-20% on a noisy host, and the host has slow phases lasting seconds;
-// the median of set-ups taken across the run sees all of them.
+// of its own wall time. `position` is the number of latency samples
+// taken so far, which places each set-up in a window of the phase.
 class SetupSampler {
  public:
   SetupSampler(std::function<void()> setup, std::function<void()> teardown,
                double interval_s);
 
-  int64_t Sample();
-  [[nodiscard]] double MedianSeconds() const;
-  [[nodiscard]] int64_t count() const { return static_cast<int64_t>(seconds_.size()); }
+  int64_t Sample(size_t position);
+  // Median of the set-ups taken inside `windows` (a set-up right after
+  // a window's last op counts for it); of all set-ups if none was.
+  [[nodiscard]] double MedianSeconds(const std::vector<Window>& windows) const;
+  [[nodiscard]] int64_t count() const { return static_cast<int64_t>(taken_.size()); }
 
  private:
   std::function<void()> setup_;
   std::function<void()> teardown_;
   int64_t interval_ns_;
   int64_t next_due_ns_ = 0;
-  std::vector<double> seconds_;
+  std::vector<std::pair<size_t, double>> taken_;  // (position, seconds)
 };
 
 // Set-up samples wanted per run; the interval is seconds / this.
-inline constexpr double kSetupSamplesPerRun = 100.0;
+inline constexpr double kSetupSamplesPerRun = 400.0;
+
+// Windows a single-thread timed phase is cut into.
+inline constexpr double kWindowsPerRun = 48.0;
 
 // Calls `op(i)` for i = 0, 1, ... until `seconds` have passed, taking
-// set-up samples between ops when `sampler` is non-null. Returns the
-// wall time of the ops alone, in seconds.
-double RunFor(double seconds, const std::function<void(int64_t)>& op,
-              SetupSampler* sampler = nullptr);
+// set-up samples between ops when `sampler` is non-null. Op i is sample
+// i of its phase. Returns the phase cut into windows of about
+// `seconds / kWindowsPerRun` of op wall time each (set-up sampling left
+// out), the last one possibly shorter.
+std::vector<Window> RunFor(double seconds, const std::function<void(int64_t)>& op,
+                           SetupSampler* sampler = nullptr);
 
-// Records the latency end-to-end metrics of a timed phase: p50_us,
-// tail_us, ops_per_s (completed ops / wall of the timed phase), the
-// tail percentile with its sample count, and setup_s from `sampler`.
-void SetLatencyMetrics(const Samples& samples, double wall_s,
+// The share of a run's windows the timing metrics come from: those
+// with the highest median latency.
+//
+// The host the bounds were set on (4 vCPUs of a shared machine) runs
+// the same code at two speeds, in phases of seconds to minutes, with no
+// system time, page faults or CPU migration behind them. The slow speed
+// is there in every run; a fast one, up to 1.6x faster, comes and goes.
+// Whole-run medians of identical code spread 10-22% (IQR over median)
+// between runs, the slowest eighth of windows 2.5-5.4%. A change of the
+// program's own speed shows in every window, so it shows in the slowest.
+inline constexpr double kKeptShare = 0.125;
+
+// Records the end-to-end metrics of a timed phase whose samples are cut
+// into `windows`. p50_us, tail_us and ops_per_s come from the kept
+// windows (kKeptShare of them, rounded up), pooled; setup_s is the
+// median of the set-ups taken in them; peak_rss_mb is the process's
+// peak.
+void SetLatencyMetrics(const Samples& samples, const std::vector<Window>& windows,
                        const SetupSampler& sampler, RunResult* result);
+
+// Binds this process, and every thread it starts later, to one CPU:
+// the highest-numbered one it may run on. Returns that CPU, or -1 if
+// binding failed. On the shared host the bounds were set on, a load
+// spread over all 4 vCPUs lost 8-17% of its CPU time to other guests
+// (steal) and rnn_serve runs then served up to 2x fewer requests per
+// second; on one vCPU steal stayed near 1%, and a cross-vCPU wake-up
+// costs more than handing a request over on the same CPU.
+int PinToOneCpu();
 
 // Peak resident set of this process in MiB.
 [[nodiscard]] double PeakRssMb();

@@ -3,8 +3,9 @@
 //   agbench --workload <beam_decode|rnn_serve|cold_start_pym|cold_start_agc>
 //           --seed <n> --seconds <s> --trace <0|1> [--workdir <dir>]
 //
-// Prints a human-readable report, then an `info` line (machine, build,
-// seed, tail sample count, traced breakdown) and, last, one JSON object:
+// Runs bound to one CPU (see PinToOneCpu). Prints a human-readable
+// report, then an `info` line (machine, build, seed, tail sample count,
+// traced breakdown) and, last, one JSON object:
 //   {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 // With --trace 0 the metrics are the five end-to-end ones; with
 // --trace 1 they are every per-layer metric (0 for a layer the workload
@@ -138,8 +139,10 @@ int main(int argc, char** argv) {
   if (args.workload == "cold_start_agc") run = RunColdStartAgc;
   if (run == nullptr) return Usage(("unknown workload '" + args.workload + "'").c_str());
 
+  const int cpu = PinToOneCpu();
   try {
     RunResult result = run(args);
+    result.info["pinned_cpu"] = JsonNumber(cpu);
     RecordMachineInfo(&result);
     Print(args, result);
   } catch (const std::exception& e) {

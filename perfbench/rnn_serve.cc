@@ -2,13 +2,13 @@
 // the in-process serve::TcpServer and serve::Client. The server loads
 // the function from an .agc with 2 workers and max_batch 4; 4
 // connections run a closed loop, each waiting for its reply, so the
-// queue stays non-empty and batches form.
+// queue stays non-empty and batches form. Every thread shares the one
+// CPU agbench is bound to (PinToOneCpu in harness.h).
 #include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -64,28 +64,14 @@ struct LoopOutcome {
   int64_t attempted = 0;
   int64_t failed = 0;
   double wall_s = 0.0;
-  int64_t steal_ticks = 0;
 
   void Merge(const LoopOutcome& o) {
     latency.Append(o.latency);
     attempted += o.attempted;
     failed += o.failed;
     wall_s += o.wall_s;
-    steal_ticks += o.steal_ticks;
   }
 };
-
-// CPU time the hypervisor gave to other guests, summed over all CPUs
-// (the `steal` column of /proc/stat), in clock ticks; 0 where the
-// kernel does not report it.
-int64_t StealTicks() {
-  std::ifstream stat("/proc/stat");
-  std::string cpu;
-  int64_t ticks[8] = {};
-  stat >> cpu;
-  for (int64_t& t : ticks) stat >> t;
-  return cpu == "cpu" && stat ? ticks[7] : 0;
-}
 
 using Call = std::function<bool(int, int64_t, double*)>;
 
@@ -94,7 +80,6 @@ LoopOutcome Episode(const Call& call) {
   ag::tensor::BufferPool::Global().TrimAll();
   std::vector<LoopOutcome> per(kConnections);
   std::vector<std::thread> threads;
-  const int64_t steal0 = StealTicks();
   const int64_t t0 = NowNs();
   for (int c = 0; c < kConnections; ++c) {
     threads.emplace_back([&, c] {
@@ -117,7 +102,6 @@ LoopOutcome Episode(const Call& call) {
   LoopOutcome all;
   for (const LoopOutcome& o : per) all.Merge(o);
   all.wall_s = static_cast<double>(NowNs() - t0) * 1e-9;
-  all.steal_ticks = StealTicks() - steal0;
   return all;
 }
 
@@ -127,31 +111,14 @@ std::vector<LoopOutcome> Episodes(double seconds, const Call& call,
                                   SetupSampler* sampler) {
   std::vector<LoopOutcome> episodes;
   double wall_s = 0.0;
+  size_t requests = 0;
   while (wall_s < seconds) {
     episodes.push_back(Episode(call));
     wall_s += episodes.back().wall_s;
-    (void)sampler->Sample();
+    requests += episodes.back().latency.size();
+    (void)sampler->Sample(requests);
   }
   return episodes;
-}
-
-// The half of the episodes (rounded up) with the least stolen CPU time,
-// merged. Ten threads hand each request across 4 vCPUs, so a vCPU the
-// hypervisor deschedules stalls requests for milliseconds: on the host
-// the bounds were set on, runs with 10-25% steal served 25-35% fewer
-// requests per second at 1.2-1.4x the p80, and such phases last from
-// seconds to minutes; p90 spread 26-69% (IQR over median) between runs
-// of identical code. With the least-stolen half kept, 5 runs spread 2%
-// on p90 and ops_per_s; a slowdown of the program itself shows in every episode, so it shows in
-// the kept half. Correctness counts every episode.
-LoopOutcome LeastStolenHalf(std::vector<LoopOutcome> episodes) {
-  std::stable_sort(episodes.begin(), episodes.end(),
-                   [](const LoopOutcome& a, const LoopOutcome& b) {
-                     return a.steal_ticks < b.steal_ticks;
-                   });
-  LoopOutcome kept;
-  for (size_t i = 0; i < (episodes.size() + 1) / 2; ++i) kept.Merge(episodes[i]);
-  return kept;
 }
 
 }  // namespace
@@ -221,19 +188,15 @@ RunResult RunRnnServe(const Args& args) {
     result.failed += o.failed;
   };
   if (!args.trace) {
-    const std::vector<LoopOutcome> episodes = Episodes(args.seconds, tcp_call, &sampler);
-    LoopOutcome all;
-    for (const LoopOutcome& e : episodes) all.Merge(e);
-    count(all);
-    const LoopOutcome kept = LeastStolenHalf(episodes);
-    SetLatencyMetrics(kept.latency, kept.wall_s, sampler, &result);
-    result.info["episodes"] = "{\"run\": " + JsonNumber(static_cast<double>(episodes.size())) +
-                              ", \"kept\": " +
-                              JsonNumber(static_cast<double>((episodes.size() + 1) / 2)) +
-                              ", \"steal_ticks_run\": " +
-                              JsonNumber(static_cast<double>(all.steal_ticks)) +
-                              ", \"steal_ticks_kept\": " +
-                              JsonNumber(static_cast<double>(kept.steal_ticks)) + "}";
+    // Each episode is one window of the timed phase.
+    Samples latency;
+    std::vector<Window> windows;
+    for (const LoopOutcome& e : Episodes(args.seconds, tcp_call, &sampler)) {
+      count(e);
+      windows.push_back(Window{latency.size(), latency.size() + e.latency.size(), e.wall_s});
+      latency.Append(e.latency);
+    }
+    SetLatencyMetrics(latency, windows, sampler, &result);
     std::remove(path.c_str());
     return result;
   }

@@ -4,6 +4,8 @@
 Builds agbench through run.py and runs every workload briefly. Checks:
   - every op is correct and the result carries exactly the metrics
     BENCHMARK.json names, plus the machine/build record;
+  - the timing metrics come from the eighth of the run's windows with
+    the highest median latency;
   - the exact counters repeat bit for bit across two traced runs;
   - cold_start_agc compiles no plan and allocates nothing while loading,
     cold_start_pym compiles plans;
@@ -16,6 +18,7 @@ Builds agbench through run.py and runs every workload briefly. Checks:
     ServerCore::Call takes at least its mean queue wait.
 """
 import json
+import math
 import os
 import subprocess
 import sys
@@ -28,6 +31,8 @@ SECONDS = "1"
 # (rows taken from separately timed calls).
 OVERSHOOT_TOLERANCE = 0.02
 UNATTRIBUTED_MAX = 0.5
+# Share of a run's windows the timing metrics come from (harness.h).
+KEPT_SHARE = 0.125
 
 # Counters that must repeat exactly, per workload.
 EXACT = {
@@ -40,7 +45,7 @@ EXACT = {
                        "exec.kernels_per_run"],
 }
 MACHINE_INFO = ["nproc", "cpu", "build_type", "kernel_backend",
-                "buffer_pool_cap_mb", "seed"]
+                "buffer_pool_cap_mb", "seed", "pinned_cpu"]
 
 
 def run(workload, trace, seed=3):
@@ -79,6 +84,14 @@ class Benchmark(unittest.TestCase):
                     self.assertIn(key, info)
                 for name, metric in result["metrics"].items():
                     self.assertGreater(metric["value"], 0, name)
+
+                w = info["windows"]
+                self.assertEqual(w["kept"], math.ceil(KEPT_SHARE * w["run"]))
+                medians = w["median_us_kept_first"]
+                self.assertEqual(len(medians), w["run"])
+                kept, rest = medians[:w["kept"]], medians[w["kept"]:]
+                if rest:
+                    self.assertGreaterEqual(min(kept), max(rest))
 
     def test_traced(self):
         for workload in self.workloads:
