@@ -108,8 +108,8 @@ void BM_While_ArmedToken(benchmark::State& state) {
 
 void ApplyEngineArgs(benchmark::internal::Benchmark* b) {
   b->ArgName("inter");
-  b->Arg(0);  // sequential evaluator
-  b->Arg(2);  // parallel plan engine
+  b->Arg(0);  // sequential plan drain
+  b->Arg(2);  // parallel plan drain
   b->MinTime(0.3);
   b->Unit(benchmark::kMillisecond);
 }

@@ -23,7 +23,9 @@ def f(x):
 )";
 
 StagedFunction StageIt(AutoGraph& agc, bool optimize) {
-  return agc.Stage("f", {StageArg::Placeholder("x")}, optimize);
+  StageOptions options;
+  options.optimize = optimize;
+  return agc.Stage("f", {StageArg::Placeholder("x")}, options);
 }
 
 void Setup(AutoGraph& agc) {

@@ -269,22 +269,6 @@ StagedFunction AutoGraph::Stage(const std::string& fn_name,
   return Stage(GetGlobal(fn_name), args, options);
 }
 
-StagedFunction AutoGraph::Stage(const std::string& fn_name,
-                                const std::vector<StageArg>& args,
-                                bool optimize) {
-  StageOptions options;
-  options.optimize = optimize;
-  return Stage(GetGlobal(fn_name), args, options);
-}
-
-StagedFunction AutoGraph::Stage(const Value& fn,
-                                const std::vector<StageArg>& args,
-                                bool optimize) {
-  StageOptions options;
-  options.optimize = optimize;
-  return Stage(fn, args, options);
-}
-
 StagedFunction AutoGraph::Stage(const Value& fn,
                                 const std::vector<StageArg>& args,
                                 const StageOptions& options) {

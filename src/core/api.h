@@ -61,14 +61,12 @@ struct StageArg {
   Value value;
 };
 
-// Options for AutoGraph::Stage() — the structured replacement for the
-// legacy trailing `bool optimize` (kept as a forwarding overload).
+// Options for AutoGraph::Stage().
 struct StageOptions {
   // When false, the traced graph is executed as-is (no graph passes).
   bool optimize = true;
   // Forwarded to graph::Optimize: pass-pipeline spec (e.g.
-  // PipelineSpec::Parse("licm,cse,-dce")), per-pass verification, and
-  // the deprecated per-pass booleans.
+  // PipelineSpec::Parse("licm,cse,-dce")) and per-pass verification.
   graph::OptimizeOptions optimize_options;
 };
 
@@ -143,9 +141,6 @@ class PolymorphicFunction {
     return cache_stats().DebugString();
   }
 
-  // Deprecated: use cache_stats().traces.
-  [[nodiscard]] size_t num_traces() const { return traces_.size(); }
-
  private:
   AutoGraph* owner_;
   std::string fn_name_;
@@ -195,17 +190,10 @@ class AutoGraph {
   // Converts + traces + optimizes + builds a Session.
   [[nodiscard]] StagedFunction Stage(const std::string& fn_name,
                                      const std::vector<StageArg>& args,
-                                     const StageOptions& options);
+                                     const StageOptions& options = {});
   [[nodiscard]] StagedFunction Stage(const Value& fn,
                                      const std::vector<StageArg>& args,
-                                     const StageOptions& options);
-  // Legacy surface: `optimize` forwards into StageOptions::optimize.
-  [[nodiscard]] StagedFunction Stage(const std::string& fn_name,
-                                     const std::vector<StageArg>& args,
-                                     bool optimize = true);
-  [[nodiscard]] StagedFunction Stage(const Value& fn,
-                                     const std::vector<StageArg>& args,
-                                     bool optimize = true);
+                                     const StageOptions& options = {});
 
   // tf.function analog over all-tensor arguments (see
   // PolymorphicFunction).

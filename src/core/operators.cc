@@ -1007,7 +1007,9 @@ Value ConvertedCall(Interpreter& in, const Value& fn, std::vector<Value> args,
         return LanternStagedCall(in, f, std::move(args));
       }
     }
-    if (f->converted || !in.options().conversion.recursive) {
+    // Non-recursive conversion ("-call_trees") runs callees as written.
+    if (f->converted ||
+        !in.options().conversion.pipeline.Selects("call_trees", true)) {
       return in.CallFunctionValue(f, std::move(args), std::move(kwargs));
     }
     FunctionPtr converted = in.ConvertFunctionValue(f);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <optional>
 #include <set>
@@ -274,16 +273,13 @@ std::vector<RuntimeValue> Session::Run(
     // cancelled fails here, before compiling a plan or launching a
     // single kernel, so expired work never occupies the engine.
     if (ctx.cancel != nullptr) ctx.cancel->Poll("Run entry");
+    const Plan& plan = TopPlanFor(fetches, ctx);
+    std::vector<RuntimeValue> no_args;
     if (ctx.inter_op_threads > 0) {
-      const Plan& plan = TopPlanFor(fetches, ctx);
-      const std::vector<RuntimeValue> no_args;
       results = RunPlanParallel(plan, no_args, ctx);
     } else {
-      results.reserve(fetches.size());
-      Frame frame;
-      for (const Output& f : fetches) {
-        results.push_back(EvalOutput(f, frame, ctx));
-      }
+      std::vector<std::vector<RuntimeValue>> slots;
+      results = RunPlan(plan, no_args, &slots, ctx);
     }
   } catch (const Error& e) {
     ++stats_.runs;
@@ -355,222 +351,7 @@ Tensor Session::GetVariable(const std::string& name) const {
   return it->second;
 }
 
-RuntimeValue Session::EvalOutput(const Output& out, Frame& frame,
-                                 RunCtx& ctx) {
-  const std::vector<RuntimeValue>& vals = EvalNode(out.node, frame, ctx);
-  if (out.index < 0 || out.index >= static_cast<int>(vals.size())) {
-    throw InternalError("fetch of invalid output index on node '" +
-                        out.node->name() + "'");
-  }
-  return vals[static_cast<size_t>(out.index)];
-}
-
-const std::vector<RuntimeValue>& Session::EvalNode(const Node* node,
-                                                   Frame& frame,
-                                                   RunCtx& ctx) {
-  auto it = frame.memo.find(node);
-  if (it != frame.memo.end()) return it->second;
-
-  ++stats_.nodes_executed;
-  const std::string& op = node->op();
-  std::vector<RuntimeValue> outputs;
-
-  if (op == "Arg") {
-    if (frame.args == nullptr) {
-      throw InternalError("Arg node evaluated outside a subgraph");
-    }
-    const auto index = static_cast<size_t>(node->attr<int64_t>("index"));
-    if (index >= frame.args->size()) {
-      throw InternalError("Arg index out of range");
-    }
-    outputs = {(*frame.args)[index]};
-  } else if (op == "Placeholder") {
-    const std::string& name = node->attr<std::string>("name");
-    if (ctx.feeds == nullptr) {
-      throw RuntimeError("placeholder '" + name + "' evaluated outside Run");
-    }
-    auto feed = ctx.feeds->find(name);
-    if (feed == ctx.feeds->end()) {
-      throw RuntimeError("placeholder '" + name + "' was not fed");
-    }
-    outputs = {feed->second};
-  } else if (op == "Variable") {
-    outputs = {GetVariable(node->attr<std::string>("var_name"))};
-  } else if (op == "Assign") {
-    RuntimeValue value = EvalOutput(node->inputs()[0], frame, ctx);
-    const int64_t t0 = ctx.rec != nullptr ? obs::NowNs() : 0;
-    {
-      std::lock_guard<std::mutex> lock(var_mu_);
-      variables_[node->attr<std::string>("var_name")] = AsTensor(value);
-    }
-    if (ctx.rec != nullptr) {
-      ctx.rec->RecordNode(node->name(), op, t0, obs::NowNs(),
-                          OutputBytes({value}));
-    }
-    outputs = {std::move(value)};
-  } else if (op == "Cond") {
-    const Tensor pred = AsTensor(EvalOutput(node->inputs()[0], frame, ctx));
-    if (pred.dtype() != DType::kBool) {
-      throw RuntimeError("cond predicate must be a bool tensor, got " +
-                         std::string(DTypeName(pred.dtype())));
-    }
-    const bool taken = pred.scalar_bool();
-    if (ctx.rec != nullptr) ctx.rec->CountCondBranch(taken);
-    const auto then_ncaps =
-        static_cast<size_t>(node->attr<int64_t>("then_ncaps"));
-    const auto& branch_attr = taken ? "then_branch" : "else_branch";
-    const auto& branch = *std::static_pointer_cast<FuncGraph>(
-        node->attr<std::shared_ptr<graph::Graph>>(branch_attr));
-    // Capture layout: inputs = [pred, then_caps..., else_caps...].
-    const size_t offset = taken ? 1 : 1 + then_ncaps;
-    std::vector<RuntimeValue> args;
-    args.reserve(branch.captures.size());
-    for (size_t i = 0; i < branch.captures.size(); ++i) {
-      args.push_back(EvalOutput(node->inputs()[offset + i], frame, ctx));
-    }
-    // Cross-boundary liveness: captures the branch's plan never reads
-    // are evaluated (side effects and memoization intact) but their
-    // handles are dropped before entering the sub-plan.
-    const Plan& branch_plan = PlanFor(branch, ctx);
-    for (size_t i = 0; i < args.size(); ++i) {
-      if (!branch_plan.ArgUsed(i)) args[i] = RuntimeValue{};
-    }
-    {
-      obs::TraceScope scope(ctx.rec != nullptr ? ctx.rec->tracer() : nullptr,
-                            node->name() + " (Cond)", "control");
-      outputs = ExecSubgraph(branch, std::move(args), ctx);
-    }
-    if (outputs.empty()) outputs = {Tensor()};  // 0-output cond placeholder
-  } else if (op == "While") {
-    const auto n = static_cast<size_t>(node->attr<int64_t>("num_loop_vars"));
-    const auto cond_ncaps =
-        static_cast<size_t>(node->attr<int64_t>("cond_ncaps"));
-    const auto& cond_g = *std::static_pointer_cast<FuncGraph>(
-        node->attr<std::shared_ptr<graph::Graph>>("cond"));
-    const auto& body_g = *std::static_pointer_cast<FuncGraph>(
-        node->attr<std::shared_ptr<graph::Graph>>("body"));
-
-    std::vector<RuntimeValue> loop_vars;
-    loop_vars.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      loop_vars.push_back(EvalOutput(node->inputs()[i], frame, ctx));
-    }
-    std::vector<RuntimeValue> cond_caps;
-    for (size_t i = 0; i < cond_ncaps; ++i) {
-      cond_caps.push_back(EvalOutput(node->inputs()[n + i], frame, ctx));
-    }
-    std::vector<RuntimeValue> body_caps;
-    for (size_t i = n + cond_ncaps; i < node->inputs().size(); ++i) {
-      body_caps.push_back(EvalOutput(node->inputs()[i], frame, ctx));
-    }
-    // Cross-boundary liveness (Plan::args_used): dead captures are
-    // still evaluated (side effects and memoization intact) but their
-    // handles are dropped at loop entry rather than copied into every
-    // iteration.
-    {
-      const Plan& cond_plan = PlanFor(cond_g, ctx);
-      const Plan& body_plan = PlanFor(body_g, ctx);
-      for (size_t i = 0; i < cond_caps.size(); ++i) {
-        if (!cond_plan.ArgUsed(n + i)) cond_caps[i] = RuntimeValue{};
-      }
-      for (size_t i = 0; i < body_caps.size(); ++i) {
-        if (!body_plan.ArgUsed(n + i)) body_caps[i] = RuntimeValue{};
-      }
-    }
-
-    obs::TraceScope scope(ctx.rec != nullptr ? ctx.rec->tracer() : nullptr,
-                          node->name() + " (While)", "control");
-    int64_t iter = 0;
-    try {
-      for (;; ++iter) {
-        if (ctx.cancel != nullptr) ctx.cancel->Poll("loop head", iter);
-        // The condition sees copies (loop vars survive it); the body
-        // consumes the loop vars themselves, so after the first
-        // iteration each carried value enters the body sole-owned and
-        // the in-place kernel paths can recycle its buffer.
-        std::vector<RuntimeValue> cond_args = loop_vars;
-        cond_args.insert(cond_args.end(), cond_caps.begin(),
-                         cond_caps.end());
-        std::vector<RuntimeValue> test =
-            ExecSubgraph(cond_g, std::move(cond_args), ctx);
-        if (test.size() != 1) {
-          throw RuntimeError("while condition must produce a single value");
-        }
-        if (!AsTensor(test[0]).scalar_bool()) break;
-        // Guard after the condition: a loop that terminates cleanly in
-        // exactly N iterations never trips a bound of N.
-        if (iter >= ctx.max_while_iterations) {
-          throw RuntimeError("While node '" + node->name() +
-                             "' exceeded max_while_iterations (" +
-                             std::to_string(ctx.max_while_iterations) +
-                             "); runaway staged loop?");
-        }
-        if (ctx.rec != nullptr) ctx.rec->CountWhileIteration();
-        std::vector<RuntimeValue> body_args = std::move(loop_vars);
-        body_args.insert(body_args.end(), body_caps.begin(),
-                         body_caps.end());
-        loop_vars = ExecSubgraph(body_g, std::move(body_args), ctx);
-      }
-    } catch (const Error& e) {
-      RethrowWithWhileContext(e, node->name(), iter);
-    }
-    outputs = std::move(loop_vars);
-    if (outputs.empty()) outputs = {Tensor()};
-  } else {
-    const Kernel& kernel = FindKernel(op);
-    std::vector<RuntimeValue> inputs;
-    inputs.reserve(node->inputs().size());
-    for (const Output& in : node->inputs()) {
-      inputs.push_back(EvalOutput(in, frame, ctx));
-    }
-    if (ctx.cancel != nullptr) ctx.cancel->PollKernel(node->name());
-    ++stats_.kernel_invocations;
-    const int64_t t0 = ctx.rec != nullptr ? obs::NowNs() : 0;
-    const int64_t alloc0 =
-        ctx.rec != nullptr ? tensor::ThreadAllocCount() : 0;
-    // Input-derived stats are snapshotted before the kernel: in-place
-    // kernels may steal (move out of) uniquely-owned inputs.
-    const int64_t in_bytes = ctx.rec != nullptr ? OutputBytes(inputs) : 0;
-    const int64_t mm_flops =
-        ctx.rec != nullptr ? MatMulFlops(*node, inputs) : 0;
-    try {
-      outputs = kernel(*node, inputs);
-    } catch (const Error& e) {
-      throw e.WithFrame(SourceFrame{
-          SourceLocation{"<graph>", 0, 0}, node->name() + " (" + op + ")",
-          /*generated=*/true});
-    }
-    if (ctx.rec != nullptr) {
-      ctx.rec->RecordNode(node->name(), op, t0, obs::NowNs(),
-                          OutputBytes(outputs),
-                          tensor::ThreadAllocCount() - alloc0,
-                          mm_flops + ElementwiseFlops(*node, outputs),
-                          in_bytes,
-                          tensor::simd::KernelBackendName(
-                              tensor::simd::ActiveBackend()));
-    }
-  }
-
-  auto [ins, inserted] = frame.memo.emplace(node, std::move(outputs));
-  (void)inserted;
-  return ins->second;
-}
-
-std::vector<RuntimeValue> Session::ExecSubgraph(const FuncGraph& fg,
-                                                std::vector<RuntimeValue> args,
-                                                RunCtx& ctx) {
-  std::vector<std::vector<RuntimeValue>> scratch;
-  return RunPlan(PlanFor(fg, ctx), args, &scratch, ctx);
-}
-
 namespace {
-
-bool EnvFlagEnabled(const char* name, bool default_value) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return default_value;
-  const std::string v(env);
-  return !(v == "0" || v == "off" || v == "false");
-}
 
 // Plans past this size skip the quadratic/bitset plan optimizations;
 // compile time stays linear and the drain just pays the extra edges.
@@ -578,33 +359,23 @@ constexpr int kMaxStepsForPlanOpt = 4096;
 
 }  // namespace
 
-Session::PlanCompileOptions Session::PlanCompileOptions::FromEnv() {
-  PlanCompileOptions options;
-  options.schedule = EnvFlagEnabled("AG_PLAN_SCHEDULE", true);
-  options.transitive_reduction =
-      EnvFlagEnabled("AG_PLAN_TRANSITIVE_REDUCTION", true);
-  return options;
-}
-
 Session::Plan Session::CompilePlan(const std::vector<Output>& returns,
                                    bool allow_args) {
-  return CompilePlan(returns, allow_args, PlanCompileOptions::FromEnv());
-}
-
-Session::Plan Session::CompilePlan(const std::vector<Output>& returns,
-                                   bool allow_args,
-                                   const PlanCompileOptions& options) {
   ++stats_.plans_compiled;
   Plan plan;
   std::unordered_map<const Node*, int> step_of;
   // Post-order DFS from the returns gives a topological schedule over
-  // exactly the nodes this subgraph needs. The schedule order equals
-  // the sequential recursive evaluation order, which is what the
-  // stateful chain below relies on.
+  // exactly the nodes this subgraph needs. Stateful nodes appear in
+  // the order a depth-first, inputs-first walk of the fetches reaches
+  // them, which is what the stateful chain below relies on. The stack
+  // holds exactly the current DFS path; its nodes map to kOnPath until
+  // they finish, so reaching one again means a cycle (AGV101), which
+  // has no topological order.
+  constexpr int kOnPath = -1;
   std::vector<std::pair<const Node*, size_t>> stack;
   auto visit = [&](const Node* n) -> int {
-    auto found = step_of.find(n);
-    if (found != step_of.end()) return found->second;
+    auto [found, fresh] = step_of.try_emplace(n, kOnPath);
+    if (!fresh) return found->second;
     stack.emplace_back(n, 0);
     while (!stack.empty()) {
       auto& [node, next_input] = stack.back();
@@ -614,48 +385,57 @@ Session::Plan Session::CompilePlan(const std::vector<Output>& returns,
           if (!allow_args) {
             throw InternalError("Arg node evaluated outside a subgraph");
           }
-        } else if (step_of.find(in) == step_of.end()) {
+        } else if (auto [it, pushed] = step_of.try_emplace(in, kOnPath);
+                   pushed) {
           stack.emplace_back(in, 0);
+        } else if (it->second == kOnPath) {
+          throw InternalError("graph cycle through node '" + in->name() +
+                              "'; a plan needs a topological order");
         }
         continue;
       }
-      if (step_of.find(node) == step_of.end()) {
-        Plan::Step step;
-        step.node = node;
-        const std::string& op = node->op();
-        if (op == "Cond") {
-          step.kind = Plan::Kind::kCond;
-        } else if (op == "While") {
-          step.kind = Plan::Kind::kWhile;
-        } else if (op == "Placeholder") {
-          step.kind = Plan::Kind::kPlaceholder;
-        } else if (op == "Variable") {
-          step.kind = Plan::Kind::kVariable;
-        } else if (op == "Assign") {
-          step.kind = Plan::Kind::kAssign;
-        } else {
-          step.kind = Plan::Kind::kKernel;
-          step.kernel = &FindKernel(op);
-        }
-        step.inputs.reserve(node->inputs().size());
-        for (const Output& in : node->inputs()) {
-          if (in.node->op() == "Arg") {
-            step.inputs.push_back(Plan::InputRef{
-                -1, static_cast<int>(in.node->attr<int64_t>("index"))});
-          } else {
-            step.inputs.push_back(
-                Plan::InputRef{step_of.at(in.node), in.index});
-          }
-        }
-        step_of[node] = static_cast<int>(plan.steps.size());
-        plan.steps.push_back(std::move(step));
+      Plan::Step step;
+      step.node = node;
+      const std::string& op = node->op();
+      if (op == "Cond") {
+        step.kind = Plan::Kind::kCond;
+      } else if (op == "While") {
+        step.kind = Plan::Kind::kWhile;
+      } else if (op == "Placeholder") {
+        step.kind = Plan::Kind::kPlaceholder;
+      } else if (op == "Variable") {
+        step.kind = Plan::Kind::kVariable;
+      } else if (op == "Assign") {
+        step.kind = Plan::Kind::kAssign;
+      } else {
+        step.kind = Plan::Kind::kKernel;
+        step.kernel = &FindKernel(op);
       }
+      step.inputs.reserve(node->inputs().size());
+      for (const Output& in : node->inputs()) {
+        if (in.node->op() == "Arg") {
+          step.inputs.push_back(Plan::InputRef{
+              -1, static_cast<int>(in.node->attr<int64_t>("index"))});
+        } else {
+          step.inputs.push_back(
+              Plan::InputRef{step_of.at(in.node), in.index});
+        }
+      }
+      step_of[node] = static_cast<int>(plan.steps.size());
+      plan.steps.push_back(std::move(step));
       stack.pop_back();
     }
     return step_of.at(n);
   };
 
   for (const Output& r : returns) {
+    // A fetch naming an output its node does not have (a hand-built
+    // Output with a bad index) fails here instead of reading past the
+    // producing step's slot at run time.
+    if (r.index < 0 || r.index >= r.node->num_outputs()) {
+      throw InternalError("fetch of invalid output index on node '" +
+                          r.node->name() + "'");
+    }
     if (r.node->op() == "Arg") {
       if (!allow_args) {
         throw InternalError("Arg node evaluated outside a subgraph");
@@ -692,7 +472,7 @@ Session::Plan Session::CompilePlan(const std::vector<Output>& returns,
   // inputs and RNG draws are per-node counter streams — and stateful
   // steps keep their relative order, preserving the sequential effect
   // interleaving both engines promise.
-  if (options.schedule && plan.steps.size() > 2 &&
+  if (plan.steps.size() > 2 &&
       plan.steps.size() <= static_cast<size_t>(kMaxStepsForPlanOpt)) {
     const int n = static_cast<int>(plan.steps.size());
     // Compressed slot ids for every (producer step, output) endpoint.
@@ -831,7 +611,7 @@ Session::Plan Session::CompilePlan(const std::vector<Output>& returns,
 
   // Side-effect order: chain every stateful step to the next one in
   // plan order, so variable reads/writes and Print output interleave
-  // exactly as the sequential evaluator would. A Cond/While step is an
+  // exactly as the sequential drain runs them. A Cond/While step is an
   // effect fence too when any node of its subgraphs (transitively)
   // is stateful — its branch/body runs inside the step, so it must not
   // overlap other stateful steps. Random ops need no chaining — their
@@ -865,7 +645,7 @@ Session::Plan Session::CompilePlan(const std::vector<Output>& returns,
   // rebalanced per removed edge (AGV201) and consecutive-stateful chain
   // edges are exempt (AGV204 checks them directly, and verify's AGV203
   // accepts path reachability for dataflow inputs).
-  if (options.transitive_reduction && num_steps > 2 &&
+  if (num_steps > 2 &&
       num_steps <= kMaxStepsForPlanOpt) {
     const size_t words = (static_cast<size_t>(num_steps) + 63) / 64;
     // reach[i*words..] = bitset of steps reachable from i (edges all
@@ -1108,6 +888,10 @@ void Session::ExecStep(const Plan::Step& step,
     }
     case Plan::Kind::kCond: {
       const Tensor& pred = AsTensor(inputs[0]);
+      if (pred.dtype() != DType::kBool) {
+        throw RuntimeError("cond predicate must be a bool tensor, got " +
+                           std::string(DTypeName(pred.dtype())));
+      }
       const bool taken = pred.scalar_bool();
       if (ctx.rec != nullptr) ctx.rec->CountCondBranch(taken);
       const auto then_ncaps =

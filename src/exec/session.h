@@ -1,26 +1,30 @@
 // Graph executor — this repo's tf.Session.
 //
 // A Session executes a built Graph: feed placeholders, fetch endpoints.
-// Only nodes reachable from the fetches are evaluated (lazy, memoized per
-// Run). Functional control flow is interpreted:
-//   - Cond evaluates its predicate, then executes only the taken branch's
-//     subgraph;
-//   - While repeatedly executes its cond/body subgraphs over the loop
+// Only nodes reachable from the fetches are executed. Each fetch list is
+// compiled once into a Plan (cached per fetch signature) and every Run
+// executes that plan. Functional control flow follows TF graph
+// semantics:
+//   - Cond's inputs (predicate and the captures of both branches) are
+//     all evaluated first — so side effects feeding an untaken branch
+//     still happen — then only the taken branch's sub-plan runs;
+//   - While repeatedly executes its cond/body sub-plans over the loop
 //     variables.
 // Variables persist across Run calls in the session's variable store.
 //
-// Execution engines. Every graph is executed through one of two engines
-// selected by obs::RunOptions::inter_op_threads:
-//   - 0 (default): the sequential recursive evaluator — today's exact
-//     behaviour, byte-identical step stats and trace output;
-//   - >= 1: the parallel plan engine. The fetched subgraph is compiled
-//     once into a Plan whose steps carry precomputed successor lists and
-//     pending-input counts; execution is a ready-queue over those
-//     refcounts, drained by the calling thread plus up to
+// Execution. obs::RunOptions::inter_op_threads picks how a plan is
+// drained, never which semantics apply:
+//   - 0 (default): the calling thread runs the steps in plan order,
+//     moving each value into its final consumer (plan-time liveness)
+//     so in-place kernels can recycle buffers;
+//   - >= 1: a ready-queue over precomputed successor lists and
+//     pending-input counts, drained by the calling thread plus up to
 //     (inter_op_threads - 1) shared-pool workers. Stateful steps
 //     (Variable/Assign/Print, plus Cond/While whose subgraphs contain
 //     any of those) are chained in plan order so side effects keep
 //     their sequential semantics.
+// Cond/While sub-plans always run sequentially inside their step.
+//
 // Sessions are safe to Run() from multiple threads concurrently: the
 // plan cache and the variable store are mutex-protected and SessionStats
 // counters are atomic.
@@ -34,7 +38,7 @@
 // metadata.
 //
 // Interruption: RunOptions::deadline_ms / cancel_token /
-// max_while_iterations make a Run killable. Both engines poll
+// max_while_iterations make a Run killable. Both drains poll
 // cooperatively (kernel launches, While iterations, the parallel
 // drain's claim path) and unwind through the normal failure machinery
 // with Error(kDeadlineExceeded / kCancelled / kRuntime), after which
@@ -132,8 +136,8 @@ class Session {
 
   [[nodiscard]] const SessionStats& stats() const { return stats_; }
 
-  // Precompiled execution plan for a fetched subgraph (FuncGraphs inside
-  // While/Cond, and — for the parallel engine — the top-level graph):
+  // Precompiled execution plan for a fetched subgraph (the top-level
+  // fetch list, and the FuncGraphs inside While/Cond):
   // nodes in topological order with pre-resolved input slot indices and
   // cached kernel pointers — no hashing per node. This is the
   // executor-side analog of TF's executor "ready list" compilation.
@@ -200,36 +204,20 @@ class Session {
     }
   };
 
-  // Plan-compile tuning. Defaults come from the environment
-  // (AG_PLAN_SCHEDULE=0 / AG_PLAN_TRANSITIVE_REDUCTION=0 disable) via
-  // FromEnv(); both transforms preserve results bit-exactly in both
-  // engines and are skipped for very large plans.
-  struct PlanCompileOptions {
-    // Memory-aware scheduling: greedily re-place the topological order
-    // so each position retires as many live slots as the dependencies
-    // allow, shrinking concurrent-liveness peaks (smaller working set
-    // for the buffer pool). Stateful steps keep their relative
-    // (sequential-effect) order; pure steps reorder freely — kernels
-    // are deterministic and RNG draws are per-node counter streams.
-    bool schedule = true;
-    // Transitive reduction of successor edges: drop every dataflow edge
-    // already implied by a longer path, shrinking the parallel drain's
-    // pending-count traffic on wide plans. Edges between consecutive
-    // stateful steps are never dropped (AGV204 keeps the effect chain
-    // direct); verify's AGV203 accepts path reachability.
-    bool transitive_reduction = true;
-    [[nodiscard]] static PlanCompileOptions FromEnv();
-  };
-
   // Compiles the subgraph reachable from `returns` into a Plan. Pure
   // (no session state mutated); `allow_args` permits Arg references
-  // (FuncGraph sub-plans). In debug or -DAG_VERIFY=ON builds the result
-  // is audited by verify::VerifyPlan before being returned. The
-  // two-argument overload compiles with PlanCompileOptions::FromEnv().
+  // (FuncGraph sub-plans). Two plan-time transforms run on every plan
+  // up to a size cap, both value-exact in both engines:
+  //   - memory-aware scheduling greedily re-places the topological
+  //     order so each position retires as many live slots as the
+  //     dependencies allow (stateful steps keep their relative order);
+  //   - transitive reduction drops every dataflow edge already implied
+  //     by a longer path, shrinking the parallel drain's pending-count
+  //     traffic (edges between consecutive stateful steps are kept).
+  // In debug or -DAG_VERIFY=ON builds the result is audited by
+  // verify::VerifyPlan before being returned.
   Plan CompilePlan(const std::vector<graph::Output>& returns,
                    bool allow_args);
-  Plan CompilePlan(const std::vector<graph::Output>& returns, bool allow_args,
-                   const PlanCompileOptions& options);
 
   // Artifact load support (src/artifact): pre-populate the plan caches
   // with plans deserialized from an .agc file so PlanFor / TopPlanFor
@@ -274,32 +262,17 @@ class Session {
     std::optional<tensor::simd::KernelBackend> kernel_backend;
   };
 
-  struct Frame {
-    std::unordered_map<const graph::Node*, std::vector<RuntimeValue>> memo;
-    const std::vector<RuntimeValue>* args = nullptr;
-  };
-
   // Shared run state of one parallel plan execution (defined in the
   // .cc); shared_ptr-owned so pool helpers may outlive the caller's
   // epilogue safely.
   struct ParallelRun;
 
-  RuntimeValue EvalOutput(const graph::Output& out, Frame& frame,
-                          RunCtx& ctx);
-  const std::vector<RuntimeValue>& EvalNode(const graph::Node* node,
-                                            Frame& frame, RunCtx& ctx);
-  // Takes args by value: RunPlan may move individual args into their
-  // final consumers (the liveness pass flags arg refs kMoveSeq too).
-  std::vector<RuntimeValue> ExecSubgraph(const graph::FuncGraph& fg,
-                                         std::vector<RuntimeValue> args,
-                                         RunCtx& ctx);
   const Plan& PlanFor(const graph::FuncGraph& fg, RunCtx& ctx);
-  // Plan for a top-level fetch list (parallel engine), cached per fetch
-  // signature.
+  // Plan for a top-level fetch list, cached per fetch signature.
   const Plan& TopPlanFor(const std::vector<graph::Output>& fetches,
                          RunCtx& ctx);
   // Executes one plan step given its resolved inputs, writing the step's
-  // outputs to `out`. Shared by the sequential and parallel engines.
+  // outputs to `out`. Shared by the sequential and parallel drains.
   // `inputs` is consumed: elements the gather loop moved in are the last
   // live handles to their values, and the step forwards them into
   // kernels / sub-plan args so in-place reuse can trigger.

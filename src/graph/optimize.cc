@@ -207,7 +207,9 @@ int RunConstantFolding(PassContext& ctx) {
   std::unordered_map<const Node*, Node*> remap;
   const size_t original_count = graph->num_nodes();
   for (size_t node_index = 0; node_index < original_count; ++node_index) {
-    const auto& n = graph->nodes()[node_index];
+    // A raw pointer, not a reference into nodes(): AddNode below may
+    // reallocate that vector.
+    const Node* n = graph->nodes()[node_index].get();
     if (!IsPureOp(n->op()) || n->op() == "Const" || n->num_outputs() != 1) {
       continue;
     }
@@ -233,7 +235,7 @@ int RunConstantFolding(PassContext& ctx) {
     Node* folded =
         graph->AddNode("Const", {}, {{"value", std::move(result[0])}});
     folded->set_output_dtype(0, n->output_dtype(0));
-    remap[n.get()] = folded;
+    remap[n] = folded;
     ++folded_count;
   }
   if (!remap.empty()) {
@@ -371,14 +373,6 @@ PipelineSpec EffectivePipeline(const OptimizeOptions& options) {
       spec = PipelineSpec::Parse(env);
     }
   }
-  // Deprecated boolean toggles forward into the spec as exclusions.
-  auto exclude_if_off = [&spec](bool enabled, const char* name) {
-    if (!enabled) spec.exclude.emplace_back(name);
-  };
-  exclude_if_off(options.licm, "licm");
-  exclude_if_off(options.constant_folding, "constant_folding");
-  exclude_if_off(options.cse, "cse");
-  exclude_if_off(options.dce, "dce");
   return spec;
 }
 

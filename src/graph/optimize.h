@@ -41,16 +41,6 @@ struct OptimizeOptions {
   // else the registry's default set. The spec selects; the registry
   // orders.
   PipelineSpec pipeline;
-  // Deprecated pass toggles, kept so every pre-pipeline call shape
-  // still compiles. A false value excludes that pass from whatever
-  // pipeline the spec selected; true is the default and adds nothing.
-  // New code should use `pipeline` (or --passes= at the CLIs).
-  bool constant_folding = true;
-  bool cse = true;
-  bool dce = true;
-  bool licm = true;
-  // Newer passes (fusion, ...) have no legacy bool: select them via
-  // `pipeline` or AG_PASSES.
   // Per-pass validation: run the graph well-formedness checker
   // (verify::VerifyGraphAndRoots, AGV1xx) after every executed pass.
   // The first pass to break an invariant is recorded in
@@ -70,8 +60,7 @@ struct OptimizeOptions {
 
 // Resolves `options` into the pipeline spec Optimize() will run: the
 // explicit `options.pipeline` if specified, else AG_PASSES (parsed per
-// call — it is a debugging knob), else the default spec; then the
-// deprecated false bools are appended as excludes.
+// call — it is a debugging knob), else the default spec.
 [[nodiscard]] PipelineSpec EffectivePipeline(const OptimizeOptions& options);
 
 // Per-pass record: what one optimization pass did to the graph.

@@ -43,10 +43,11 @@ struct RunOptions {
   // caller wanting a parallel-but-unprofiled run sets step_stats=false.
   //
   // inter_op_threads: how many graph steps may execute concurrently in
-  // exec::Session. 0 (default) = the sequential recursive evaluator,
-  // byte-identical behaviour to a build without this knob; >= 1 = the
-  // ready-queue parallel plan executor (1 = drained by the calling
-  // thread alone, useful for deterministic testing of that engine).
+  // exec::Session. Every value runs the same compiled plan; this picks
+  // only how it is drained. 0 (default) = the calling thread runs the
+  // steps in plan order (step stats arrive in plan order); >= 1 = the
+  // ready-queue parallel drain (1 = drained by the calling thread
+  // alone, useful for deterministic testing of that drain).
   int inter_op_threads = 0;
   // intra_op_threads: per-kernel sharding budget for the heavy tensor
   // kernels (MatMul row bands, large elementwise/reduction loops).

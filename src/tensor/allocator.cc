@@ -146,6 +146,12 @@ void ReleaseToGlobal(detail::BufferBlock* block) {
   state.TrimLocked();
 }
 
+// Set once this thread's cache is destroyed. Trivially destructible, so
+// it stays readable while later exit-time destructors (static objects
+// whose tensors die after the main thread's thread_locals) still
+// acquire and release buffers; those go straight to the global lists.
+thread_local bool t_cache_destroyed = false;
+
 // Thread-local free-list cache; flushed to the global lists on thread
 // exit so nothing leaks per short-lived thread.
 struct ThreadCache {
@@ -156,9 +162,11 @@ struct ThreadCache {
       for (detail::BufferBlock* b : list) ReleaseToGlobal(b);
       list.clear();
     }
+    t_cache_destroyed = true;
   }
 
   detail::BufferBlock* Pop(int bucket) {
+    if (t_cache_destroyed) return nullptr;
     auto& list = buckets[static_cast<size_t>(bucket)];
     if (list.empty()) return nullptr;
     detail::BufferBlock* b = list.back();
@@ -167,6 +175,7 @@ struct ThreadCache {
   }
   // Returns false when the bucket is full (caller overflows to global).
   bool Push(detail::BufferBlock* block) {
+    if (t_cache_destroyed) return false;
     auto& list = buckets[static_cast<size_t>(block->bucket)];
     if (list.size() >= kThreadCacheDepth) return false;
     list.push_back(block);

@@ -178,16 +178,12 @@ std::shared_ptr<lang::FunctionDefStmt> ConvertFunctionAst(
   auto out = lang::Cast<lang::FunctionDefStmt>(
       lang::CloneStmt(std::static_pointer_cast<lang::Stmt>(fn)));
 
-  // The deprecated `recursive` bool forwards into the spec (same shim
-  // pattern as graph::EffectivePipeline's legacy booleans).
-  PipelineSpec spec = options.pipeline;
-  if (!options.recursive) spec.exclude.push_back("call_trees");
-
   PassContext ctx;
   ctx.options = &options;
   ctx.params = &out->params;
   lang::StmtList body = std::move(out->body);
-  for (const PassInfo* pass : PassRegistry::Global().BuildPipeline(spec)) {
+  for (const PassInfo* pass :
+       PassRegistry::Global().BuildPipeline(options.pipeline)) {
     body = pass->run(body, ctx);
   }
   out->body = std::move(body);

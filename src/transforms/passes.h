@@ -38,12 +38,10 @@ struct ConversionOptions {
   std::set<std::string> whitelist{"tf", "ag", "ag__"};
   // Which conversion passes run (see transforms::PassRegistry for the
   // registered names and support/pass_pipeline.h for the grammar). An
-  // unspecified spec runs the default pipeline.
+  // unspecified spec runs the default pipeline. Excluding "call_trees"
+  // ("-call_trees") selects non-recursive conversion: calls are not
+  // wrapped, and the interpreter runs unconverted callees as-is.
   PipelineSpec pipeline;
-  // Deprecated shim: when false, excludes the "call_trees" pass
-  // (non-recursive conversion) — equivalent to a "-call_trees" token in
-  // `pipeline`, which new code should use instead.
-  bool recursive = true;
   // Staging-safety diagnostics run over the *original* function before
   // any pass, so locations always point at user source.
   LintMode lint_mode = LintMode::kOff;

@@ -11,13 +11,13 @@
 //
 // Graph invariant catalog (AGV1xx) — one line of "why" per code:
 //
-//   AGV101  graph cycle: both engines schedule nodes topologically; a
-//           cycle deadlocks the parallel drain and overflows the
-//           sequential evaluator's recursion.
+//   AGV101  graph cycle: every run executes a topological plan; a
+//           cycle has no such order (CompilePlan rejects it, and a
+//           hand-built plan would deadlock the parallel drain).
 //   AGV102  dangling endpoint: an input or subgraph return references a
 //           null node, a node owned by a different graph, or an output
 //           index the producer does not have — the executor would read
-//           another node's memo slot or out of bounds.
+//           another step's slot or out of bounds.
 //   AGV103  subgraph capture structure: Cond/While call-site inputs,
 //           FuncGraph captures, and capture Arg indices must stay in
 //           lockstep (captures are passed positionally as trailing

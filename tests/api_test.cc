@@ -1,37 +1,63 @@
-// Tests for the public API surface: graph serialization round trips
-// (deployability), the tf.function-style polymorphic callable, the
-// Lantern multi-value conditional, and the inspectability of generated
-// code.
+// Tests for the public API surface: staged graphs round-tripping
+// through an .agc artifact bit for bit (deployability), the
+// tf.function-style polymorphic callable, the Lantern multi-value
+// conditional, and the inspectability of generated code.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <filesystem>
+#include <map>
+#include <string>
+
 #include "core/api.h"
+#include "core/artifact_io.h"
 #include "core/lantern_api.h"
 #include "exec/session.h"
-#include "graph/serialize.h"
 #include "tensor/tensor_ops.h"
 
 namespace ag::core {
 namespace {
 
+// Saves `staged` as the only function of an .agc artifact and stages it
+// back: the loaded copy shares no graph, session or source with the
+// original.
+StagedFunction RoundTrip(const StagedFunction& staged,
+                         const std::string& tag) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / ("api_test_" + tag + ".agc"))
+          .string();
+  SaveArtifact(path, {{"f", &staged}});
+  std::map<std::string, StagedFunction> loaded = StageFromArtifact(path);
+  std::filesystem::remove(path);
+  return std::move(loaded.at("f"));
+}
+
+void ExpectBitIdentical(const Tensor& got, const Tensor& want) {
+  ASSERT_EQ(got.dtype(), want.dtype());
+  ASSERT_EQ(got.shape(), want.shape());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        4 * static_cast<size_t>(want.num_elements())),
+            0);
+}
+
 TEST(Serialize, SimpleGraphRoundTrips) {
+  // A constant with more significant digits than a 6-digit text format
+  // keeps must survive exactly.
   AutoGraph agc;
-  agc.LoadSource("def f(x):\n  return tf.tanh(x) * 2.0\n");
+  agc.LoadSource("def f(x):\n  return tf.tanh(x) * 2.7182817\n");
   StagedFunction staged = agc.Stage("f", {StageArg::Placeholder("x")});
-  Tensor input = Tensor::FromVector({0.5f, -0.5f}, Shape({2}));
+  Tensor input = Tensor::FromVector({0.123456789f, -0.5f}, Shape({2}));
   Tensor expected = staged.Run1({input});
 
-  std::string text = graph::SerializeGraph(*staged.graph, staged.fetches);
-  graph::DeserializedGraph restored = graph::DeserializeGraph(text);
-  ASSERT_EQ(restored.outputs.size(), 1u);
-
-  exec::Session session(restored.graph.get());
-  Tensor out = session.RunTensor({{"x", input}}, restored.outputs[0]);
-  EXPECT_TRUE(AllClose(out, expected, 1e-6f));
+  StagedFunction restored = RoundTrip(staged, "simple");
+  ASSERT_EQ(restored.fetches.size(), 1u);
+  ExpectBitIdentical(restored.Run1({input}), expected);
 }
 
 TEST(Serialize, ControlFlowGraphRoundTrips) {
   // A staged graph with Cond + While subgraphs and captures survives
-  // serialization — the paper's deploy-without-Python property.
+  // the artifact round trip — the paper's deploy-without-Python
+  // property.
   AutoGraph agc;
   agc.LoadSource(R"(
 def f(x, n):
@@ -40,7 +66,7 @@ def f(x, n):
     if x > 100.0:
       x = x / 2.0
     else:
-      x = x * 3.0
+      x = x * 3.1415927
     i = i + 1
   return x
 )");
@@ -49,26 +75,14 @@ def f(x, n):
             StageArg::Placeholder("n", DType::kInt32)});
   const Tensor x0 = Tensor::Scalar(7.0f);
   const Tensor n0 = Tensor::ScalarInt(5);
-  Tensor expected = staged.Run1({x0, n0});
+  const Tensor expected = staged.Run1({x0, n0});
 
-  std::string text = graph::SerializeGraph(*staged.graph, staged.fetches);
-  graph::DeserializedGraph restored = graph::DeserializeGraph(text);
-  exec::Session session(restored.graph.get());
-  std::map<std::string, exec::RuntimeValue> feeds{{"x", x0}, {"n", n0}};
-  EXPECT_FLOAT_EQ(session.Run(feeds, restored.outputs)[0].index() == 0
-                      ? exec::AsTensor(session.Run(feeds,
-                                                   restored.outputs)[0])
-                            .scalar()
-                      : 0.0f,
-                  expected.scalar());
-}
-
-TEST(Serialize, RejectsMalformedInput) {
-  EXPECT_THROW((void)graph::DeserializeGraph("bogus line\n"), Error);
-  EXPECT_THROW(
-      (void)graph::DeserializeGraph(
-          "node \"a\" Add 1\n  input \"missing\" 0\nend_node\n"),
-      Error);
+  StagedFunction restored = RoundTrip(staged, "control_flow");
+  for (const int inter_op : {0, 4}) {
+    obs::RunOptions options;
+    options.inter_op_threads = inter_op;
+    ExpectBitIdentical(restored.Run1({x0, n0}, &options), expected);
+  }
 }
 
 TEST(PolymorphicFunction, RetracesPerDtypeSignature) {
@@ -83,15 +97,15 @@ def f(x, y):
   // Float signature.
   auto r1 = fn({Tensor::Scalar(5.0f), Tensor::Scalar(2.0f)});
   EXPECT_FLOAT_EQ(exec::AsTensor(r1[0]).scalar(), 3.0f);
-  EXPECT_EQ(fn.num_traces(), 1u);
+  EXPECT_EQ(fn.cache_stats().traces, 1u);
   // Same signature: no retrace.
   auto r2 = fn({Tensor::Scalar(1.0f), Tensor::Scalar(9.0f)});
   EXPECT_FLOAT_EQ(exec::AsTensor(r2[0]).scalar(), 8.0f);
-  EXPECT_EQ(fn.num_traces(), 1u);
+  EXPECT_EQ(fn.cache_stats().traces, 1u);
   // Int signature: one more trace.
   auto r3 = fn({Tensor::ScalarInt(4), Tensor::ScalarInt(10)});
   EXPECT_EQ(exec::AsTensor(r3[0]).scalar_int(), 6);
-  EXPECT_EQ(fn.num_traces(), 2u);
+  EXPECT_EQ(fn.cache_stats().traces, 2u);
 }
 
 TEST(LanternMultiValue, TupleStateConditionals) {

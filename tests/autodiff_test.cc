@@ -61,6 +61,12 @@ struct UnaryCase {
   float high;
 };
 
+// Prints the case by value so the listed test names (and the CTest names
+// discovered from them) do not carry the address of `name`.
+void PrintTo(const UnaryCase& c, std::ostream* os) {
+  *os << c.name << " on [" << c.low << ", " << c.high << "]";
+}
+
 class GraphUnaryGrad : public ::testing::TestWithParam<UnaryCase> {};
 
 TEST_P(GraphUnaryGrad, MatchesFiniteDifference) {

@@ -34,8 +34,6 @@ def f(x):
     return x
   return -x
 )");
-  Interpreter::Options options;
-  options.conversion.recursive = true;
   // Build a graph context but call the *unconverted* function.
   auto graph = std::make_shared<graph::Graph>();
   graph::GraphContext ctx(graph.get());

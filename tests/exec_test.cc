@@ -1,4 +1,4 @@
-// Unit tests for the Session executor: feeds/fetches, lazy branch
+// Unit tests for the Session executor: feeds/fetches, taken-branch-only
 // execution, functional while loops, tensor lists, variables, the
 // compiled-plan path, and runtime error reporting.
 #include <gtest/gtest.h>
@@ -69,6 +69,27 @@ TEST(Session, CondExecutesOnlyTakenBranch) {
       2.0f);
 }
 
+// Every engine rejects a non-bool predicate, whether the Cond sits at
+// the top level or inside a While body (a sub-plan step).
+void ExpectNonBoolPredicateRejected(const Graph& g, const Output& fetch) {
+  for (const int inter_op : {0, 1, 4}) {
+    Session session(&g);
+    obs::RunOptions options;
+    options.inter_op_threads = inter_op;
+    try {
+      (void)session.RunTensor({{"p", Tensor::Scalar(1.0f)}}, fetch,
+                              &options);
+      ADD_FAILURE() << "float predicate accepted at inter_op_threads="
+                    << inter_op;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kRuntime) << inter_op;
+      EXPECT_NE(e.message().find("cond predicate must be a bool tensor"),
+                std::string::npos)
+          << e.message();
+    }
+  }
+}
+
 TEST(Session, CondPredicateMustBeBool) {
   Graph g;
   GraphContext ctx(&g);
@@ -77,10 +98,94 @@ TEST(Session, CondPredicateMustBeBool) {
   std::vector<Output> outs =
       Cond(ctx, pred, [&] { return std::vector<Output>{a}; },
            [&] { return std::vector<Output>{a}; });
-  Session session(&g);
-  EXPECT_THROW(
-      (void)session.RunTensor({{"p", Tensor::Scalar(1.0f)}}, outs[0]),
-      Error);
+  ExpectNonBoolPredicateRejected(g, outs[0]);
+
+  // The same Cond nested in a While body.
+  Graph nested;
+  GraphContext nctx(&nested);
+  Output npred = Placeholder(nctx, "p", DType::kFloat32);
+  std::vector<Output> loop = While(
+      nctx, {Const(nctx, Tensor::ScalarInt(0))},
+      [&](const std::vector<Output>& args) {
+        return Op(nctx, "Less", {args[0], Const(nctx, Tensor::ScalarInt(2))});
+      },
+      [&](const std::vector<Output>& args) {
+        Output one = Const(nctx, Tensor::ScalarInt(1));
+        auto branch = [&] {
+          return std::vector<Output>{Op(nctx, "Add", {args[0], one})};
+        };
+        return Cond(nctx, npred, branch, branch);
+      });
+  ExpectNonBoolPredicateRejected(nested, loop[0]);
+}
+
+TEST(Session, UntakenBranchCaptureSideEffectsAgreeAcrossEngines) {
+  // The else branch captures an outer Assign. Cond evaluates all of its
+  // inputs before picking a branch (TF graph semantics), so the Assign
+  // runs even though only the then branch is taken — in every engine.
+  Graph g;
+  GraphContext ctx(&g);
+  Output pred = Placeholder(ctx, "p", DType::kBool);
+  Output assign = graph::Assign(ctx, "v", Const(ctx, Tensor::Scalar(1.0f)));
+  std::vector<Output> outs = Cond(
+      ctx, pred,
+      [&] { return std::vector<Output>{Const(ctx, Tensor::Scalar(5.0f))}; },
+      [&] { return std::vector<Output>{Op(ctx, "Add", {assign, assign})}; });
+  for (const int inter_op : {0, 1, 4}) {
+    Session session(&g);
+    session.SetVariable("v", Tensor::Scalar(0.0f));
+    obs::RunOptions options;
+    options.inter_op_threads = inter_op;
+    EXPECT_FLOAT_EQ(session
+                        .RunTensor({{"p", Tensor::ScalarBool(true)}},
+                                   outs[0], &options)
+                        .scalar(),
+                    5.0f);
+    EXPECT_FLOAT_EQ(session.GetVariable("v").scalar(), 1.0f)
+        << "inter_op_threads=" << inter_op;
+  }
+}
+
+TEST(Session, FetchOfInvalidOutputIndexFails) {
+  Graph g;
+  GraphContext ctx(&g);
+  Output x = Const(ctx, Tensor::Scalar(1.0f));
+  const Output bad{x.node, 3};
+  for (const int inter_op : {0, 1}) {
+    Session session(&g);
+    obs::RunOptions options;
+    options.inter_op_threads = inter_op;
+    try {
+      (void)session.Run({}, {bad}, &options);
+      ADD_FAILURE() << "out-of-range fetch accepted at inter_op_threads="
+                    << inter_op;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kInternal) << e.message();
+      EXPECT_NE(e.message().find("invalid output index"), std::string::npos)
+          << e.message();
+    }
+  }
+}
+
+TEST(Session, CyclicGraphFailsToCompile) {
+  Graph g;
+  GraphContext ctx(&g);
+  Output a = Op(ctx, "Neg", {Const(ctx, Tensor::Scalar(1.0f))});
+  Output b = Op(ctx, "Neg", {a});
+  (*a.node->mutable_inputs())[0] = b;  // a <- b <- a
+  for (const int inter_op : {0, 1}) {
+    Session session(&g);
+    obs::RunOptions options;
+    options.inter_op_threads = inter_op;
+    try {
+      (void)session.RunTensor({}, b, &options);
+      ADD_FAILURE() << "cyclic graph ran at inter_op_threads=" << inter_op;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kInternal) << e.message();
+      EXPECT_NE(e.message().find("graph cycle"), std::string::npos)
+          << e.message();
+    }
+  }
 }
 
 TEST(Session, WhileLoopRunsToFixpoint) {

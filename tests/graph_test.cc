@@ -158,7 +158,7 @@ TEST(Optimize, CseMergesIdenticalSubtrees) {
   Output sum = Op(ctx, "Add", {t1, t2});
   std::vector<Output> roots{sum};
   OptimizeOptions options;
-  options.constant_folding = false;
+  options.pipeline = PipelineSpec::Parse("-constant_folding");
   OptimizeStats stats =
       Optimize(&g, &roots, &exec::EvaluatePureNode, options);
   EXPECT_EQ(stats.merged, 1);
@@ -188,8 +188,7 @@ TEST(Optimize, DceCountsPrunedNodes) {
   (void)Op(ctx, "Neg", {Const(ctx, Tensor::Scalar(9.0f))});
   std::vector<Output> roots{keep};
   OptimizeOptions options;
-  options.constant_folding = false;
-  options.cse = false;
+  options.pipeline = PipelineSpec::Parse("-constant_folding,-cse");
   OptimizeStats stats =
       Optimize(&g, &roots, &exec::EvaluatePureNode, options);
   EXPECT_EQ(stats.pruned, 2);

@@ -263,7 +263,6 @@ TEST(PolymorphicObs, CacheStatsCountHitsAndMisses) {
   EXPECT_EQ(stats.misses, 2);
   EXPECT_EQ(stats.hits, 1);
   EXPECT_EQ(stats.traces, 2u);
-  EXPECT_EQ(fn.num_traces(), 2u);  // deprecated forward still works
   EXPECT_NE(fn.DebugString().find("hits=1"), std::string::npos);
 
   // Instrumented call-through: metadata flows from the cached trace.

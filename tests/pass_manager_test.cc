@@ -5,6 +5,7 @@
 // and AST level) is reachable from the default spec, so "default"
 // really does mean "everything the registry ships".
 #include <algorithm>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -217,12 +218,11 @@ TEST(GraphPassRegistry, ConstraintOnUnregisteredPassIsRejected) {
                Error);
 }
 
-// --- OptimizeOptions bridging --------------------------------------------
+// --- OptimizeOptions resolution ------------------------------------------
 
-TEST(EffectivePipeline, DeprecatedBoolsBecomeExcludes) {
+TEST(EffectivePipeline, ExcludeTokensDropOnlyThosePasses) {
   graph::OptimizeOptions options;
-  options.dce = false;
-  options.licm = false;
+  options.pipeline = PipelineSpec::Parse("-dce,-licm");
   const PipelineSpec spec = graph::EffectivePipeline(options);
   EXPECT_FALSE(spec.Selects("dce", true));
   EXPECT_FALSE(spec.Selects("licm", true));
@@ -230,10 +230,21 @@ TEST(EffectivePipeline, DeprecatedBoolsBecomeExcludes) {
   EXPECT_TRUE(spec.Selects("fusion", true));
 }
 
-TEST(EffectivePipeline, ExplicitPipelineWinsOverBools) {
+TEST(EffectivePipeline, ExplicitPipelineWinsOverEnv) {
+  const char* saved = std::getenv("AG_PASSES");
+  const std::string restore = saved != nullptr ? saved : "";
+  ::setenv("AG_PASSES", "licm", /*overwrite=*/1);
   graph::OptimizeOptions options;
+  // Unspecified: the environment selects.
+  EXPECT_TRUE(graph::EffectivePipeline(options).Selects("licm", true));
+  EXPECT_FALSE(graph::EffectivePipeline(options).Selects("cse", true));
   options.pipeline = PipelineSpec::Parse("cse,dce");
   const PipelineSpec spec = graph::EffectivePipeline(options);
+  if (saved != nullptr) {
+    ::setenv("AG_PASSES", restore.c_str(), 1);
+  } else {
+    ::unsetenv("AG_PASSES");
+  }
   EXPECT_TRUE(spec.Selects("cse", true));
   EXPECT_TRUE(spec.Selects("dce", true));
   EXPECT_FALSE(spec.Selects("licm", true));
@@ -292,9 +303,9 @@ TEST(AstPassRegistry, ConversionOrderRespectsConstraints) {
 }
 
 TEST(AstPassRegistry, ExcludingCallTreesMatchesRecursiveFalseShim) {
-  // The deprecated ConversionOptions::recursive=false is documented as
-  // equivalent to a "-call_trees" token; the registry view of that spec
-  // must drop exactly that pass.
+  // Non-recursive conversion is spelled "-call_trees" (the interpreter
+  // then also runs unconverted callees as plain Python); the registry
+  // view of that spec must drop exactly that pass.
   const transforms::PassRegistry& registry =
       transforms::PassRegistry::Global();
   const std::vector<const transforms::PassInfo*> with_all =

@@ -242,6 +242,15 @@ TEST(Ops, SumToShape) {
 
 // ---- property-style sweeps ----
 
+}  // namespace
+
+// Prints a Shape by its dims; found by argument-dependent lookup, so it must
+// live in namespace ag. Without it gtest prints the raw vector bytes, whose
+// heap addresses make the discovered test names differ on every build.
+void PrintTo(const Shape& s, std::ostream* os) { *os << s.str(); }
+
+namespace {
+
 class BroadcastProperty
     : public ::testing::TestWithParam<std::pair<Shape, Shape>> {};
 

@@ -341,7 +341,7 @@ def f(n):
 TEST(Pipeline, NonRecursiveOptionSkipsCallWrapping) {
   auto fn = lang::ParseEntity("def f(g, x):\n  return g(x)\n");
   ConversionOptions options;
-  options.recursive = false;
+  options.pipeline = PipelineSpec::Parse("-call_trees");
   std::string out = lang::AstToSource(
       std::static_pointer_cast<lang::Stmt>(ConvertFunctionAst(fn, options)));
   EXPECT_EQ(out.find("converted_call"), std::string::npos) << out;

@@ -139,7 +139,9 @@ bool VerifyFunction(ag::core::AutoGraph& agc, const std::string& context,
       args.push_back(
           ag::core::StageArg::Placeholder("arg" + std::to_string(i)));
     }
-    staged = agc.Stage(fn_name, args, /*optimize=*/false);
+    ag::core::StageOptions options;
+    options.optimize = false;
+    staged = agc.Stage(fn_name, args, options);
   } catch (const ag::Error& e) {
     std::cerr << context << ": skipped (staging failed: " << e.what()
               << ")\n";
