@@ -9,7 +9,9 @@
 //                 recycled through the pool or reused in place), a
 //                 >= 90% reduction against pool=0;
 //   hit_rate%     pool hits / (hits + fresh allocations);
-//   peak_live_mb  high-water mark of live tensor bytes.
+//   process_peak_live_mb  the pool's process-wide high-water mark of
+//                 live tensor bytes (never reset, so it only grows
+//                 across the benchmarks of one process).
 // pool=0 (RunOptions::buffer_pool=false) is the seed allocation path:
 // every tensor buffer is a fresh allocation freed on last release.
 //
@@ -62,7 +64,7 @@ void ReportPoolCounters(benchmark::State& state,
   state.counters["allocs/run"] = runs > 0 ? fresh / runs : 0;
   state.counters["hit_rate%"] =
       fresh + hits > 0 ? 100.0 * hits / (fresh + hits) : 0;
-  state.counters["peak_live_mb"] =
+  state.counters["process_peak_live_mb"] =
       static_cast<double>(after.peak_live_bytes) / (1024.0 * 1024.0);
 }
 

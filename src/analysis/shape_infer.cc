@@ -421,9 +421,8 @@ TypeFact ShapeInference::EvalCall(const ExprPtr& expr, const TypeEnv& env) {
     return TypeFact::Tensor(dtype, shape);
   }
   static const std::set<std::string> kElementwiseUnary = {
-      "tf.tanh", "tf.sigmoid", "tf.exp",    "tf.log", "tf.sqrt",
-      "tf.square", "tf.abs",   "tf.sin",    "tf.cos", "tf.relu",
-      "tf.neg",  "tf.identity"};
+      "tf.tanh",   "tf.sigmoid", "tf.exp", "tf.log",    "tf.sqrt",
+      "tf.square", "tf.abs",     "tf.sin", "tf.cos",    "tf.nn.relu"};
   if (kElementwiseUnary.count(name) > 0) {
     TypeFact a = arg(0);
     if (a.kind == TypeKind::kTensor) return a;

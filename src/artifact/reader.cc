@@ -36,6 +36,7 @@
 #include "artifact/bytes.h"
 #include "artifact/crc32c.h"
 #include "exec/kernels.h"
+#include "graph/ops.h"
 #include "support/error.h"
 #include "verify/plan_verify.h"
 #include "verify/verify.h"
@@ -404,20 +405,6 @@ void ReadGraphTable(ByteReader& r, ArtifactFunction& fn, GraphTable& table,
   fn.graph = table.graphs.front();
 }
 
-// Expected step kind for an op — the same dispatch CompilePlan uses, so
-// a plan whose kind byte disagrees with its node's op is rejected
-// before it can misexecute.
-Session::Plan::Kind KindForOp(const std::string& op) {
-  using Kind = Session::Plan::Kind;
-  if (op == "Cond") return Kind::kCond;
-  if (op == "While") return Kind::kWhile;
-  if (op == "Placeholder") return Kind::kPlaceholder;
-  if (op == "Variable") return Kind::kVariable;
-  if (op == "Assign") return Kind::kAssign;
-  if (op == "Arg") return Kind::kArg;
-  return Kind::kKernel;
-}
-
 Session::Plan ReadPlan(ByteReader& r, const GraphTable& table) {
   Session::Plan plan;
   const uint32_t num_steps = r.Count(18);
@@ -433,7 +420,9 @@ Session::Plan ReadPlan(ByteReader& r, const GraphTable& table) {
       r.Fail("unknown plan step kind " + std::to_string(kind));
     }
     step.kind = static_cast<Session::Plan::Kind>(kind);
-    if (step.kind != KindForOp(step.node->op())) {
+    // The op table's kind, the one CompilePlan assigns: a kind byte that
+    // disagrees is rejected before it can misexecute.
+    if (step.kind != graph::KindForOp(step.node->op())) {
       r.Fail("plan step kind disagrees with op '" + step.node->op() +
              "' of node '" + step.node->name() + "'");
     }

@@ -29,10 +29,6 @@ const std::unordered_map<std::string, GradFn>& GradRegistry() {
     auto* r = new std::unordered_map<std::string, GradFn>();
     auto& reg = *r;
 
-    reg["Identity"] = [](GraphContext&, Node*,
-                         const std::vector<Output>& g) {
-      return std::vector<Output>{g[0]};
-    };
     reg["Add"] = [](GraphContext& ctx, Node* n,
                     const std::vector<Output>& g) {
       return std::vector<Output>{SumTo(ctx, g[0], n->inputs()[0]),
@@ -280,6 +276,13 @@ bool HasGradient(const std::string& op) {
   return GradRegistry().count(op) > 0;
 }
 
+std::vector<std::string> GradientOps() {
+  std::vector<std::string> ops;
+  ops.reserve(GradRegistry().size());
+  for (const auto& [op, grad] : GradRegistry()) ops.push_back(op);
+  return ops;
+}
+
 std::vector<Output> Gradients(GraphContext& ctx, Output y,
                               const std::vector<Output>& xs) {
   graph::Graph* g = ctx.current();
@@ -327,19 +330,12 @@ std::vector<Output> Gradients(GraphContext& ctx, Output y,
     }
   };
 
-  const bool is_leaf_checked = true;
-  (void)is_leaf_checked;
-
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     Node* node = *it;
     const std::string& op = node->op();
-    // Leaves and stateless sources terminate propagation, as do nodes
-    // that no x depends on.
-    if (op == "Const" || op == "Placeholder" || op == "Variable" ||
-        op == "Arg" || node->inputs().empty() ||
-        depends_on_x.count(node) == 0) {
-      continue;
-    }
+    // Leaves (Const, Placeholder, Variable, Arg: no inputs) terminate
+    // propagation, as do nodes that no x depends on.
+    if (node->inputs().empty() || depends_on_x.count(node) == 0) continue;
     // Gather this node's output grads; skip if none flowed here.
     std::vector<Output> out_grads(
         static_cast<size_t>(node->num_outputs()));

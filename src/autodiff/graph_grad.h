@@ -25,5 +25,7 @@ namespace ag::autodiff {
 
 // True if a gradient function is registered for `op`.
 [[nodiscard]] bool HasGradient(const std::string& op);
+// Every op name with a registered gradient (unordered).
+[[nodiscard]] std::vector<std::string> GradientOps();
 
 }  // namespace ag::autodiff

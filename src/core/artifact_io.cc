@@ -3,6 +3,7 @@
 #include <memory>
 #include <unordered_set>
 
+#include "graph/ops.h"
 #include "obs/run_metadata.h"
 #include "support/error.h"
 
@@ -19,7 +20,9 @@ void CollectPlannedSubgraphs(const graph::Graph* g,
                              std::vector<const graph::FuncGraph*>* out) {
   if (!seen->insert(g).second) return;
   for (const auto& node : g->nodes()) {
-    const bool planned = node->op() == "While" || node->op() == "Cond";
+    const graph::StepKind kind = graph::KindForOp(node->op());
+    const bool planned =
+        kind == graph::StepKind::kWhile || kind == graph::StepKind::kCond;
     for (const auto& [key, attr] : node->attrs()) {
       const auto* sub = std::get_if<std::shared_ptr<graph::Graph>>(&attr);
       if (sub == nullptr) continue;

@@ -1,5 +1,10 @@
 #include "core/interpreter.h"
 
+#include <pthread.h>
+
+#include <algorithm>
+#include <cstdint>
+
 #include "core/operators.h"
 #include "obs/trace.h"
 #include "runtime/cancellation.h"
@@ -16,11 +21,32 @@ using lang::StmtPtr;
 
 namespace {
 
-// RAII guard for call depth / converted-code flag / name scopes.
+// The calling thread's stack low end plus a reserve, read once per
+// thread; 0 when unknown.
+uintptr_t StackFloor() {
+  thread_local const uintptr_t stack_floor = [] {
+    pthread_attr_t attr;
+    if (pthread_getattr_np(pthread_self(), &attr) != 0) return uintptr_t{0};
+    void* addr = nullptr;
+    size_t size = 0;
+    const int rc = pthread_attr_getstack(&attr, &addr, &size);
+    pthread_attr_destroy(&attr);
+    if (rc != 0) return uintptr_t{0};
+    const size_t reserve = std::min<size_t>(size_t{512} << 10, size / 4);
+    return reinterpret_cast<uintptr_t>(addr) + reserve;
+  }();
+  return stack_floor;
+}
+
+// RAII guard for call depth / converted-code flag / name scopes. Raises
+// the recursion error at `max_depth` calls, or earlier once the native
+// stack is within the reserve of its end: room for the frames one call
+// builds before it nests and for unwinding (sanitizers grow frames).
 class CallGuard {
  public:
   CallGuard(int* depth, int max_depth) : depth_(depth) {
-    if (++*depth_ > max_depth) {
+    const auto frame = reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
+    if (++*depth_ > max_depth || frame < StackFloor()) {
       --*depth_;
       depth_ = nullptr;
       throw RuntimeError("maximum recursion depth exceeded");

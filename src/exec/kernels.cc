@@ -160,9 +160,6 @@ const std::unordered_map<std::string, Kernel>& Registry() {
     reg["Const"] = [](const Node& n, std::vector<RuntimeValue>&) {
       return One(n.attr<Tensor>("value"));
     };
-    reg["Identity"] = [](const Node&, std::vector<RuntimeValue>& in) {
-      return std::vector<RuntimeValue>{std::move(in[0])};
-    };
     reg["NoOp"] = [](const Node&, std::vector<RuntimeValue>&) {
       return std::vector<RuntimeValue>{Tensor::Scalar(0.0f)};
     };
@@ -195,7 +192,6 @@ const std::unordered_map<std::string, Kernel>& Registry() {
     reg["Relu"] = UnaryM(&Relu);
     reg["Sqrt"] = UnaryM(&Sqrt);
     reg["Abs"] = UnaryM(&Abs);
-    reg["Sign"] = UnaryM(&Sign);
     reg["Square"] = UnaryM(&Square);
     reg["Sin"] = UnaryM(&Sin);
     reg["Cos"] = UnaryM(&Cos);
@@ -462,6 +458,13 @@ const std::unordered_map<std::string, Kernel>& Registry() {
 }  // namespace
 
 bool HasKernel(const std::string& op) { return Registry().count(op) > 0; }
+
+std::vector<std::string> KernelOps() {
+  std::vector<std::string> ops;
+  ops.reserve(Registry().size());
+  for (const auto& [op, kernel] : Registry()) ops.push_back(op);
+  return ops;
+}
 
 const Kernel& FindKernel(const std::string& op) {
   auto it = Registry().find(op);

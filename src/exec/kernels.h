@@ -58,6 +58,8 @@ class RngRunScope {
 // Session itself and have no kernels).
 [[nodiscard]] const Kernel& FindKernel(const std::string& op);
 [[nodiscard]] bool HasKernel(const std::string& op);
+// Every op name with a registered kernel (unordered).
+[[nodiscard]] std::vector<std::string> KernelOps();
 
 // Tensor-only adapter used by graph::Optimize for constant folding.
 [[nodiscard]] std::vector<Tensor> EvaluatePureNode(

@@ -8,7 +8,6 @@
 #include <set>
 #include <sstream>
 #include <thread>
-#include <unordered_set>
 
 #include "runtime/parallel_for.h"
 #include "runtime/thread_pool.h"
@@ -45,16 +44,16 @@ int64_t OutputBytes(const std::vector<RuntimeValue>& outputs) {
 }
 
 // Roofline flop estimates for one node execution, feeding the gflops
-// column in the per-op table. An estimate, not a measurement. Split in
-// two because in-place kernels may steal (move out of) their input
-// tensors: anything derived from input shapes must be computed BEFORE
-// the kernel runs, anything derived from outputs after.
+// column in the per-op table, from the op table's FLOP model. An
+// estimate, not a measurement. Split in two because in-place kernels may
+// steal (move out of) their input tensors: anything derived from input
+// shapes must be computed BEFORE the kernel runs, anything derived from
+// outputs after.
 //
-// MatMulFlops: 2·m·k·n for the matmul family; 0 otherwise. Pre-kernel.
-int64_t MatMulFlops(const Node& node,
+// MatMulFlops: 2·m·k·n for the kMatMul model; 0 otherwise. Pre-kernel.
+int64_t MatMulFlops(graph::FlopModel model,
                     const std::vector<RuntimeValue>& inputs) {
-  const std::string& op = node.op();
-  if (op != "MatMul" && op != "QuantizedMatMul") return 0;
+  if (model != graph::FlopModel::kMatMul) return 0;
   if (inputs.size() < 2 || !IsTensor(inputs[0]) || !IsTensor(inputs[1])) {
     return 0;
   }
@@ -66,63 +65,23 @@ int64_t MatMulFlops(const Node& node,
   return 2 * a.shape().dim(0) * a.shape().dim(1) * b.shape().dim(1);
 }
 
-// ElementwiseFlops: ~1 flop per output element per step for fused
-// chains and plain elementwise/reduction math; 0 for the matmul family
-// (counted above) and for ops with no meaningful flop count
-// (shape/data movement, control flow). Post-kernel.
-int64_t ElementwiseFlops(const Node& node,
+// ElementwiseFlops: one flop per output element for kUnit, times the
+// body's op count for kFusedBody; 0 otherwise. Post-kernel.
+int64_t ElementwiseFlops(graph::FlopModel model, const Node& node,
                          const std::vector<RuntimeValue>& outputs) {
-  const std::string& op = node.op();
   if (outputs.empty() || !IsTensor(outputs[0]) ||
       !AsTensor(outputs[0]).defined()) {
     return 0;
   }
   const int64_t elems = AsTensor(outputs[0]).num_elements();
-  if (op == "FusedElementwise") {
-    const auto& body = *node.attr<std::shared_ptr<graph::Graph>>("body");
-    int64_t steps = 0;
-    for (const auto& n : body.nodes()) {
-      if (n->op() != "Arg") ++steps;
-    }
-    return steps * elems;
+  if (model == graph::FlopModel::kUnit) return elems;
+  if (model != graph::FlopModel::kFusedBody) return 0;
+  const auto& body = *node.attr<std::shared_ptr<graph::Graph>>("body");
+  int64_t steps = 0;
+  for (const auto& n : body.nodes()) {
+    if (n->op() != "Arg") ++steps;
   }
-  static const std::unordered_set<std::string> kUnitFlopOps = {
-      "Add",     "Sub",     "Mul",   "Div",  "Neg",  "Abs",   "Square",
-      "Sqrt",    "Exp",     "Log",   "Tanh", "Sigmoid", "Relu", "Pow",
-      "Maximum", "Minimum", "Sum",   "Mean", "Max",  "Min",   "Softmax",
-      "Quantize", "Dequantize"};
-  if (kUnitFlopOps.count(op) > 0) return elems;
-  return 0;
-}
-
-bool GraphHasStatefulNode(const graph::Graph& g,
-                          std::unordered_set<const graph::Graph*>& seen);
-
-// True when executing `node` can have observable side effects: the node
-// itself is Variable/Assign/Print, or it carries subgraphs (Cond
-// branches, While cond/body) that — transitively — contain such a node.
-bool NodeIsStateful(const Node& node,
-                    std::unordered_set<const graph::Graph*>& seen) {
-  const std::string& op = node.op();
-  if (op == "Variable" || op == "Assign" || op == "Print") return true;
-  for (const auto& [key, value] : node.attrs()) {
-    const auto* sub =
-        std::get_if<std::shared_ptr<graph::Graph>>(&value);
-    if (sub != nullptr && *sub != nullptr &&
-        GraphHasStatefulNode(**sub, seen)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool GraphHasStatefulNode(const graph::Graph& g,
-                          std::unordered_set<const graph::Graph*>& seen) {
-  if (!seen.insert(&g).second) return false;  // already scanned: stateless
-  for (const auto& n : g.nodes()) {
-    if (NodeIsStateful(*n, seen)) return true;
-  }
-  return false;
+  return steps * elems;
 }
 
 // Annotates an interruption (cancel/deadline) escaping a While loop
@@ -262,8 +221,6 @@ std::vector<RuntimeValue> Session::Run(
     meta_out->alloc_count += p.alloc_count - pool0.alloc_count;
     meta_out->alloc_bytes += p.alloc_bytes - pool0.alloc_bytes;
     meta_out->pool_hit_count += p.pool_hit_count - pool0.pool_hit_count;
-    meta_out->peak_live_bytes =
-        std::max(meta_out->peak_live_bytes, p.peak_live_bytes);
   };
 
   std::vector<RuntimeValue> results;
@@ -396,20 +353,9 @@ Session::Plan Session::CompilePlan(const std::vector<Output>& returns,
       }
       Plan::Step step;
       step.node = node;
-      const std::string& op = node->op();
-      if (op == "Cond") {
-        step.kind = Plan::Kind::kCond;
-      } else if (op == "While") {
-        step.kind = Plan::Kind::kWhile;
-      } else if (op == "Placeholder") {
-        step.kind = Plan::Kind::kPlaceholder;
-      } else if (op == "Variable") {
-        step.kind = Plan::Kind::kVariable;
-      } else if (op == "Assign") {
-        step.kind = Plan::Kind::kAssign;
-      } else {
-        step.kind = Plan::Kind::kKernel;
-        step.kernel = &FindKernel(op);
+      step.kind = graph::KindForOp(node->op());
+      if (step.kind == Plan::Kind::kKernel) {
+        step.kernel = &FindKernel(node->op());
       }
       step.inputs.reserve(node->inputs().size());
       for (const Output& in : node->inputs()) {
@@ -447,16 +393,9 @@ Session::Plan Session::CompilePlan(const std::vector<Output>& returns,
     }
   }
 
-  auto stateful = [](const Plan::Step& s) {
-    if (s.kind == Plan::Kind::kVariable || s.kind == Plan::Kind::kAssign) {
-      return true;
-    }
-    if (s.kind == Plan::Kind::kKernel) return s.node->op() == "Print";
-    if (s.kind == Plan::Kind::kCond || s.kind == Plan::Kind::kWhile) {
-      std::unordered_set<const graph::Graph*> seen;
-      return NodeIsStateful(*s.node, seen);
-    }
-    return false;
+  graph::StatefulMemo stateful_memo;
+  auto stateful = [&stateful_memo](const Plan::Step& s) {
+    return graph::NodeIsStateful(*s.node, stateful_memo);
   };
 
   // ---- Memory-aware scheduling ---------------------------------------
@@ -866,8 +805,10 @@ void Session::ExecStep(const Plan::Step& step,
       // Input-derived stats are snapshotted before the kernel: in-place
       // kernels may steal (move out of) uniquely-owned inputs.
       const int64_t in_bytes = ctx.rec != nullptr ? OutputBytes(inputs) : 0;
-      const int64_t mm_flops =
-          ctx.rec != nullptr ? MatMulFlops(*node, inputs) : 0;
+      const graph::OpDef* def =
+          ctx.rec != nullptr ? graph::FindOpDef(node->op()) : nullptr;
+      const auto flops = def != nullptr ? def->flops : graph::FlopModel::kNone;
+      const int64_t mm_flops = MatMulFlops(flops, inputs);
       try {
         *out = (*step.kernel)(*node, inputs);
       } catch (const Error& e) {
@@ -879,7 +820,7 @@ void Session::ExecStep(const Plan::Step& step,
         ctx.rec->RecordNode(node->name(), node->op(), t0, obs::NowNs(),
                             OutputBytes(*out),
                             tensor::ThreadAllocCount() - alloc0,
-                            mm_flops + ElementwiseFlops(*node, *out),
+                            mm_flops + ElementwiseFlops(flops, *node, *out),
                             in_bytes,
                             tensor::simd::KernelBackendName(
                                 tensor::simd::ActiveBackend()));

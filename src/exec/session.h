@@ -59,6 +59,7 @@
 #include "exec/kernels.h"
 #include "exec/value.h"
 #include "graph/graph.h"
+#include "graph/ops.h"
 #include "obs/run_metadata.h"
 #include "runtime/cancellation.h"
 #include "tensor/simd/dispatch.h"
@@ -150,15 +151,8 @@ class Session {
   // audit plans and tools/agverify can compile them standalone; the
   // executors only ever consume plans built here.
   struct Plan {
-    enum class Kind : uint8_t {
-      kKernel,
-      kArg,
-      kCond,
-      kWhile,
-      kPlaceholder,
-      kVariable,
-      kAssign,
-    };
+    // Decided per op by the op table (graph::KindForOp).
+    using Kind = graph::StepKind;
     struct InputRef {
       int step;    // producing step index (-1: function argument)
       int output;  // producer output index, or arg index when step < 0

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "graph/ops.h"
 #include "graph/pass_manager.h"
 #include "support/error.h"
 
@@ -166,10 +167,8 @@ int FuseGraph(Graph* graph, std::vector<Output>* roots) {
 
 bool IsFusableElementwise(const Node& node) {
   if (node.num_outputs() != 1) return false;
-  if (node.op() == "Cast") return true;
-  FusedOp op;
-  bool is_binary = false;
-  return FusedOpForName(node.op(), &op, &is_binary);
+  const OpDef* def = FindOpDef(node.op());
+  return def != nullptr && def->fused.fusable;
 }
 
 int FuseElementwiseChains(PassContext& ctx) {
@@ -208,13 +207,11 @@ FusedProgram CompileFusedBody(const FuncGraph& body) {
     }
     FusedStep step;
     bool is_binary = false;
-    if (n->op() == "Cast") {
-      step.op = FusedOp::kCast;
-      step.cast_to = n->attr<DType>("dtype");
-    } else if (!FusedOpForName(n->op(), &step.op, &is_binary)) {
+    if (!FusedOpForName(n->op(), &step.op, &is_binary)) {
       throw ValueError("FusedElementwise body: op '" + n->op() +
                        "' has no fused form");
     }
+    if (step.op == FusedOp::kCast) step.cast_to = n->attr<DType>("dtype");
     const size_t arity = is_binary ? 2 : 1;
     if (n->inputs().size() != arity || n->num_outputs() != 1) {
       throw ValueError("FusedElementwise body: op '" + n->op() +

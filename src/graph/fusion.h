@@ -6,8 +6,8 @@
 // pass, eliminating every intermediate tensor in the chain.
 //
 // Legality rules (each checked by the pass):
-//   - every chain op is a single-output elementwise/cast op with a
-//     FusedOp scalar form (FusedOpForName, plus Cast);
+//   - every chain op is a single-output elementwise/cast op whose op
+//     table row has a FusedOp scalar form (graph/ops.h);
 //   - every interior value has exactly one use — the next chain op —
 //     counting fetch roots, subgraph captures, and returns as uses;
 //   - the body captures nothing: all external operands become explicit

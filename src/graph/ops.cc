@@ -1,8 +1,7 @@
 #include "graph/ops.h"
 
 #include <algorithm>
-#include <string_view>
-#include <unordered_map>
+#include <iterator>
 
 namespace ag::graph {
 
@@ -38,72 +37,121 @@ Output GraphContext::Resolve(Output o) {
 
 namespace {
 
-// Ops whose output dtype is fixed by the op's semantics, bucketed by
-// rule so InferDtype / InferredDtypeIsAuthoritative resolve with one
-// hash lookup instead of a chain of ~40 string compares — both sit on
-// hot paths (every OpN during tracing, every node during AGV104
-// verification, including at artifact load).
-enum class DtypeRule : uint8_t {
-  kPropagate,  // not authoritative: dtype follows the inputs
-  kBool,
-  kInt,
-  kFloat,  // float regardless of input dtype
-  kInt8,
-  kCast,
-  kFused,
-};
+using K = StepKind;
+using R = DtypeRule;
+using F = FlopModel;
+using FO = FusedOp;
 
-DtypeRule RuleFor(const std::string& op) {
-  static const std::unordered_map<std::string_view, DtypeRule> kRules = {
-      {"Less", DtypeRule::kBool},
-      {"LessEqual", DtypeRule::kBool},
-      {"Greater", DtypeRule::kBool},
-      {"GreaterEqual", DtypeRule::kBool},
-      {"Equal", DtypeRule::kBool},
-      {"NotEqual", DtypeRule::kBool},
-      {"LogicalAnd", DtypeRule::kBool},
-      {"LogicalOr", DtypeRule::kBool},
-      {"LogicalNot", DtypeRule::kBool},
-      {"ArgMax", DtypeRule::kInt},
-      {"Range", DtypeRule::kInt},
-      {"Shape", DtypeRule::kInt},
-      {"Size", DtypeRule::kInt},
-      {"TensorListLen", DtypeRule::kInt},
-      {"Dim0", DtypeRule::kInt},
-      {"Div", DtypeRule::kFloat},
-      {"Exp", DtypeRule::kFloat},
-      {"Log", DtypeRule::kFloat},
-      {"Tanh", DtypeRule::kFloat},
-      {"Sigmoid", DtypeRule::kFloat},
-      {"Relu", DtypeRule::kFloat},
-      {"Sqrt", DtypeRule::kFloat},
-      {"Softmax", DtypeRule::kFloat},
-      {"LogSoftmax", DtypeRule::kFloat},
-      {"SoftmaxCrossEntropy", DtypeRule::kFloat},
-      {"SoftmaxCrossEntropyGrad", DtypeRule::kFloat},
-      {"OneHot", DtypeRule::kFloat},
-      {"Sin", DtypeRule::kFloat},
-      {"Cos", DtypeRule::kFloat},
-      {"Pow", DtypeRule::kFloat},
-      {"RandomNormal", DtypeRule::kFloat},
-      {"RandomUniform", DtypeRule::kFloat},
-      // Quantization boundary ops (inserted by the quantize_weights
-      // pass); Dequantize/QuantizedMatMul produce float.
-      {"Quantize", DtypeRule::kInt8},
-      {"Dequantize", DtypeRule::kFloat},
-      {"QuantizedMatMul", DtypeRule::kFloat},
-      {"Cast", DtypeRule::kCast},
-      {"FusedElementwise", DtypeRule::kFused},
-  };
-  auto it = kRules.find(op);
-  return it == kRules.end() ? DtypeRule::kPropagate : it->second;
+constexpr FusedForm Bin(FO op) { return {true, op, true}; }
+constexpr FusedForm Un(FO op) { return {true, op, false}; }
+
+// A pure kernel op: the shape of most rows.
+constexpr OpDef Pure(std::string_view name, R rule = R::kPropagate,
+                     FusedForm fused = {}, F flops = F::kNone) {
+  return {name, rule, K::kKernel, kOpPure, fused, flops};
 }
 
-}  // namespace
+// An op with effects, or one the Session runs itself.
+constexpr OpDef Effects(std::string_view name, K kind, uint8_t effects,
+                        R rule = R::kPropagate) {
+  return {name, rule, kind, effects, {}, F::kNone};
+}
 
-DType InferDtype(const std::string& op, const std::vector<Output>& inputs,
-                 const AttrMap& attrs) {
-  switch (RuleFor(op)) {
+// The op table. Adding a graph op means adding its row here, its kernel
+// in exec/kernels.cc, and optionally a gradient (autodiff/graph_grad.cc)
+// and a FusedOp case (tensor/tensor_ops.cc).
+constexpr OpDef kOpTable[] = {
+    // ---- structure, state and control flow --------------------------
+    Effects("Arg", K::kArg, 0),
+    Effects("Placeholder", K::kPlaceholder, 0),
+    Effects("Variable", K::kVariable, kOpStateful),
+    Effects("Assign", K::kAssign, kOpStateful | kOpDceRoot),
+    Effects("Cond", K::kCond, 0),
+    Effects("While", K::kWhile, 0),
+    Effects("NoOp", K::kKernel, 0),
+    Effects("Print", K::kKernel, kOpStateful | kOpDceRoot),
+    Effects("Assert", K::kKernel, kOpPure | kOpDceRoot),
+    Pure("Const"),
+
+    // ---- elementwise -------------------------------------------------
+    Pure("Add", R::kPropagate, Bin(FO::kAdd), F::kUnit),
+    Pure("Sub", R::kPropagate, Bin(FO::kSub), F::kUnit),
+    Pure("Mul", R::kPropagate, Bin(FO::kMul), F::kUnit),
+    Pure("Div", R::kFloat, Bin(FO::kDiv), F::kUnit),
+    Pure("FloorDiv", R::kPropagate, Bin(FO::kFloorDiv)),
+    Pure("Mod", R::kPropagate, Bin(FO::kMod)),
+    Pure("Pow", R::kFloat, Bin(FO::kPow), F::kUnit),
+    Pure("Maximum", R::kPropagate, Bin(FO::kMaximum), F::kUnit),
+    Pure("Minimum", R::kPropagate, Bin(FO::kMinimum), F::kUnit),
+    Pure("Less", R::kBool, Bin(FO::kLess)),
+    Pure("LessEqual", R::kBool, Bin(FO::kLessEqual)),
+    Pure("Greater", R::kBool, Bin(FO::kGreater)),
+    Pure("GreaterEqual", R::kBool, Bin(FO::kGreaterEqual)),
+    Pure("Equal", R::kBool, Bin(FO::kEqual)),
+    Pure("NotEqual", R::kBool, Bin(FO::kNotEqual)),
+    Pure("LogicalAnd", R::kBool, Bin(FO::kLogicalAnd)),
+    Pure("LogicalOr", R::kBool, Bin(FO::kLogicalOr)),
+    Pure("LogicalNot", R::kBool, Un(FO::kLogicalNot)),
+    Pure("Neg", R::kPropagate, Un(FO::kNeg), F::kUnit),
+    Pure("Exp", R::kFloat, Un(FO::kExp), F::kUnit),
+    Pure("Log", R::kFloat, Un(FO::kLog), F::kUnit),
+    Pure("Tanh", R::kFloat, Un(FO::kTanh), F::kUnit),
+    Pure("Sigmoid", R::kFloat, Un(FO::kSigmoid), F::kUnit),
+    Pure("Relu", R::kFloat, Un(FO::kRelu), F::kUnit),
+    Pure("Sqrt", R::kFloat, Un(FO::kSqrt), F::kUnit),
+    Pure("Abs", R::kPropagate, Un(FO::kAbs), F::kUnit),
+    Pure("Square", R::kPropagate, Un(FO::kSquare), F::kUnit),
+    Pure("Sin", R::kFloat, Un(FO::kSin)),
+    Pure("Cos", R::kFloat, Un(FO::kCos)),
+    Pure("Cast", R::kCast, Un(FO::kCast)),
+    Pure("FusedElementwise", R::kFused, {}, F::kFusedBody),
+
+    // ---- softmax, matmul and quantization (the quantize_weights pass)
+    Pure("Softmax", R::kFloat, {}, F::kUnit),
+    Pure("LogSoftmax", R::kFloat),
+    Pure("SoftmaxCrossEntropy", R::kFloat),
+    Pure("SoftmaxCrossEntropyGrad", R::kFloat),
+    Pure("MatMul", R::kPropagate, {}, F::kMatMul),
+    Pure("Quantize", R::kInt8, {}, F::kUnit),
+    Pure("Dequantize", R::kFloat, {}, F::kUnit),
+    Pure("QuantizedMatMul", R::kFloat, {}, F::kMatMul),
+
+    // ---- reductions, shapes and data movement -----------------------
+    Pure("ReduceSum"), Pure("ReduceMean"), Pure("ReduceMax"),
+    Pure("ReduceMin"), Pure("ArgMax", R::kInt), Pure("TopK", R::kTopK),
+    Pure("Reshape"), Pure("ReshapeLike"), Pure("ExpandDims"),
+    Pure("Transpose"), Pure("Concat"), Pure("Pack"),
+    Pure("Shape", R::kInt), Pure("Size", R::kInt), Pure("Dim0", R::kInt),
+    Pure("ZerosLike"), Pure("OnesLike"), Pure("SumToShapeOf"),
+    Pure("IndexAxis0"), Pure("SetItemAxis0"), Pure("SliceRows"),
+    Pure("Gather"), Pure("Where", R::kWhere), Pure("OneHot", R::kFloat),
+    Pure("Range", R::kInt),
+
+    // ---- random draws and TensorLists: never folded or merged -------
+    Effects("RandomNormal", K::kKernel, 0, R::kFloat),
+    Effects("RandomUniform", K::kKernel, 0, R::kFloat),
+    Effects("TensorListNew", K::kKernel, 0, R::kList),
+    Effects("TensorListPushBack", K::kKernel, 0, R::kList),
+    Effects("TensorListSet", K::kKernel, 0, R::kList),
+    // Output 0 is the shrunk list, output 1 the popped tensor.
+    Effects("TensorListPopBack", K::kKernel, 0, R::kList),
+    Effects("TensorListStack", K::kKernel, 0),
+    Effects("TensorListGet", K::kKernel, 0),
+    Effects("TensorListLen", K::kKernel, 0, R::kInt),
+};
+
+const OpDef& RequireOpDef(const std::string& op) {
+  const OpDef* def = FindOpDef(op);
+  if (def == nullptr) {
+    throw InternalError("graph op '" + op +
+                        "' has no row in the op table (graph/ops.cc)");
+  }
+  return *def;
+}
+
+DType InferDtypeFor(const OpDef& def, const std::vector<Output>& inputs,
+                    const AttrMap& attrs) {
+  switch (def.dtype) {
     case DtypeRule::kBool:
       return DType::kBool;
     case DtypeRule::kInt:
@@ -130,16 +178,17 @@ DType InferDtype(const std::string& op, const std::vector<Output>& inputs,
       }
       return DType::kFloat32;
     }
-    case DtypeRule::kPropagate:
+    case DtypeRule::kWhere:
+      // Not input 0's bool: that made every While carrying a tf.where
+      // value dtype-inconsistent (found by AGV105).
+      if (inputs.size() >= 2 && inputs[1].valid()) {
+        return inputs[1].node->output_dtype(inputs[1].index);
+      }
       break;
-  }
-  // Where(cond, x, y) selects between x and y: its output carries the
-  // value dtype, not the bool condition in input 0. (Latent bug found
-  // by the AGV105 loop-var invariance check: tf.where on loop state
-  // recorded dtype bool, making every such While loop-carried slot
-  // inconsistent.)
-  if (op == "Where" && inputs.size() >= 2 && inputs[1].valid()) {
-    return inputs[1].node->output_dtype(inputs[1].index);
+    case DtypeRule::kPropagate:
+    case DtypeRule::kTopK:
+    case DtypeRule::kList:
+      break;
   }
   // Dtype-propagating ops: use the first tensor input if present.
   if (!inputs.empty() && inputs[0].valid()) {
@@ -148,30 +197,85 @@ DType InferDtype(const std::string& op, const std::vector<Output>& inputs,
   return DType::kFloat32;
 }
 
+}  // namespace
+
+std::span<const OpDef> OpTable() { return kOpTable; }
+
+const OpDef* FindOpDef(std::string_view op) {
+  static const auto* kIndex = [] {
+    auto* index = new std::unordered_map<std::string_view, const OpDef*>();
+    index->reserve(std::size(kOpTable));
+    for (const OpDef& def : kOpTable) index->emplace(def.name, &def);
+    return index;
+  }();
+  auto it = kIndex->find(op);
+  return it == kIndex->end() ? nullptr : it->second;
+}
+
+StepKind KindForOp(std::string_view op) {
+  const OpDef* def = FindOpDef(op);
+  return def == nullptr ? StepKind::kKernel : def->kind;
+}
+
+bool IsPureOp(std::string_view op) {
+  const OpDef* def = FindOpDef(op);
+  return def != nullptr && def->pure();
+}
+
+bool FusedOpForName(std::string_view op, FusedOp* fused, bool* is_binary) {
+  const OpDef* def = FindOpDef(op);
+  if (def == nullptr || !def->fused.fusable) return false;
+  *fused = def->fused.op;
+  *is_binary = def->fused.binary;
+  return true;
+}
+
+bool NodeIsStateful(const Node& node, StatefulMemo& memo) {
+  const OpDef* def = FindOpDef(node.op());
+  if (def != nullptr && def->stateful()) return true;
+  for (const auto& [key, value] : node.attrs()) {
+    const auto* sub = std::get_if<std::shared_ptr<Graph>>(&value);
+    if (sub == nullptr || *sub == nullptr) continue;
+    const Graph* g = sub->get();
+    // An in-progress graph reads as stateless: the cycle guard for
+    // malformed graphs whose subgraph attrs refer back to an ancestor.
+    auto [it, fresh] = memo.try_emplace(g, false);
+    if (!fresh) {
+      if (it->second) return true;
+      continue;
+    }
+    const bool found = std::any_of(
+        g->nodes().begin(), g->nodes().end(),
+        [&memo](const auto& n) { return NodeIsStateful(*n, memo); });
+    memo[g] = found;  // re-lookup: the recursion may have rehashed
+    if (found) return true;
+  }
+  return false;
+}
+
+DType InferDtype(const std::string& op, const std::vector<Output>& inputs,
+                 const AttrMap& attrs) {
+  return InferDtypeFor(RequireOpDef(op), inputs, attrs);
+}
+
 bool InferredDtypeIsAuthoritative(const std::string& op) {
-  return RuleFor(op) != DtypeRule::kPropagate;
+  const OpDef* def = FindOpDef(op);
+  return def != nullptr && def->dtype < DtypeRule::kPropagate;
 }
 
 std::vector<Output> OpN(GraphContext& ctx, const std::string& op,
                         std::vector<Output> inputs, AttrMap attrs,
                         int num_outputs) {
+  const OpDef& def = RequireOpDef(op);
   for (Output& in : inputs) in = ctx.Resolve(in);
-  const DType dtype = InferDtype(op, inputs, attrs);
+  const DType dtype = InferDtypeFor(def, inputs, attrs);
   Node* node = ctx.current()->AddNode(op, std::move(inputs), std::move(attrs),
                                       num_outputs);
   for (int i = 0; i < num_outputs; ++i) node->set_output_dtype(i, dtype);
-  // Multi-output special cases.
-  if (op == "TopK" && num_outputs == 2) {
+  if (def.dtype == DtypeRule::kTopK && num_outputs == 2) {
     node->set_output_dtype(1, DType::kInt32);
   }
-  // TensorList-producing ops.
-  if (op == "TensorListNew" || op == "TensorListPushBack" ||
-      op == "TensorListSet") {
-    node->set_output_is_list(0, true);
-  }
-  if (op == "TensorListPopBack") {
-    node->set_output_is_list(0, true);  // output 1 is the popped tensor
-  }
+  if (def.dtype == DtypeRule::kList) node->set_output_is_list(0, true);
   std::vector<Output> outs;
   outs.reserve(static_cast<size_t>(num_outputs));
   for (int i = 0; i < num_outputs; ++i) outs.push_back(node->out(i));

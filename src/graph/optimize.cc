@@ -2,29 +2,17 @@
 
 #include <cstdlib>
 #include <map>
-#include <set>
 #include <sstream>
 #include <unordered_map>
 
 #include "graph/fusion.h"
+#include "graph/ops.h"
 #include "graph/pass_manager.h"
 #include "graph/quantize.h"
 #include "support/error.h"
 
 namespace ag::graph {
 namespace {
-
-// Ops excluded from folding/CSE: stateful, control-flow, or I/O.
-const std::set<std::string>& ImpureOps() {
-  static const auto* kSet = new std::set<std::string>{
-      "Placeholder", "Variable",      "Assign",       "Print",
-      "Cond",        "While",         "Arg",          "NoOp",
-      "RandomNormal", "RandomUniform", "TensorListNew",
-      "TensorListPushBack", "TensorListPopBack", "TensorListStack",
-      "TensorListGet", "TensorListSet", "TensorListLen",
-  };
-  return *kSet;
-}
 
 // A structural signature for CSE. Includes op, input endpoints, and
 // scalar attrs; nodes with subgraph or tensor attrs are handled
@@ -72,8 +60,6 @@ std::string NodeSignature(const Node& node) {
 int HoistWhileInvariants(Graph* outer, Node* while_node) {
   auto body = std::static_pointer_cast<FuncGraph>(
       while_node->attr<std::shared_ptr<Graph>>("body"));
-  const auto num_loop_vars =
-      static_cast<int64_t>(while_node->attr<int64_t>("num_loop_vars"));
 
   // Outer endpoint of each capture Arg (Arg index -> outer Output).
   std::unordered_map<const Node*, Output> capture_source;
@@ -116,8 +102,8 @@ int HoistWhileInvariants(Graph* outer, Node* while_node) {
   for (size_t bi = 0; bi < original_body_nodes; ++bi) {
     const auto& n = body->nodes()[bi];
     const std::string& op = n->op();
-    if (!IsPureOp(op) || op == "Const" || op == "Arg" ||
-        n->num_outputs() != 1 || n->inputs().empty()) {
+    if (!IsPureOp(op) || op == "Const" || n->num_outputs() != 1 ||
+        n->inputs().empty()) {
       continue;
     }
     bool has_subgraph = false;
@@ -171,7 +157,6 @@ int HoistWhileInvariants(Graph* outer, Node* while_node) {
     }
     for (Output& r : body->returns) fix(r);
   }
-  (void)num_loop_vars;
   return count;
 }
 
@@ -294,9 +279,8 @@ int RunDce(PassContext& ctx) {
   // without control dependencies).
   std::vector<Output> keep = *ctx.roots;
   for (const auto& n : graph->nodes()) {
-    if (n->op() == "Print" || n->op() == "Assert" || n->op() == "Assign") {
-      keep.push_back(Output{n.get(), 0});
-    }
+    const OpDef* def = FindOpDef(n->op());
+    if (def != nullptr && def->dce_root()) keep.push_back(Output{n.get(), 0});
   }
   graph->Prune(keep);
   const int pruned = static_cast<int>(before - graph->num_nodes());
@@ -305,8 +289,6 @@ int RunDce(PassContext& ctx) {
 }
 
 }  // namespace
-
-bool IsPureOp(const std::string& op) { return ImpureOps().count(op) == 0; }
 
 bool DefaultVerifyEachPass() {
   static const bool value = [] {

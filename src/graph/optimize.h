@@ -102,7 +102,4 @@ OptimizeStats Optimize(Graph* graph, std::vector<Output>* roots,
                        const NodeEvaluator& evaluator,
                        const OptimizeOptions& options = {});
 
-// True if `op` has no side effects and may be folded/merged.
-[[nodiscard]] bool IsPureOp(const std::string& op);
-
 }  // namespace ag::graph

@@ -101,7 +101,6 @@ void RunMetadata::Merge(const RunMetadata& other) {
   alloc_count += other.alloc_count;
   alloc_bytes += other.alloc_bytes;
   pool_hit_count += other.pool_hit_count;
-  peak_live_bytes = std::max(peak_live_bytes, other.peak_live_bytes);
 }
 
 std::string RunMetadata::DebugString() const {
@@ -129,7 +128,7 @@ std::string RunMetadata::DebugString() const {
     os << "alloc: fresh=" << alloc_count << " (" << alloc_bytes
        << " bytes) pool_hits=" << pool_hit_count << " hit_rate="
        << (requests > 0 ? (100 * pool_hit_count + requests / 2) / requests : 0)
-       << "% peak_live=" << peak_live_bytes << " bytes\n";
+       << "%\n";
   }
   if (!phase_ns.empty()) {
     os << "phases:";

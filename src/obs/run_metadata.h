@@ -210,12 +210,12 @@ struct RunMetadata {
 
   // Allocator counters for the merged runs, snapshotted from
   // tensor::BufferPool around each Run(): fresh heap allocations, bytes
-  // they requested, pool hits (recycled blocks), and the high-water mark
-  // of live tensor bytes observed during the runs.
+  // they requested, and pool hits (recycled blocks). The pool's live-byte
+  // high-water mark is process-wide and never reset, so it is read from
+  // tensor::BufferPool::Global().stats(), not recorded per run.
   int64_t alloc_count = 0;
   int64_t alloc_bytes = 0;
   int64_t pool_hit_count = 0;
-  int64_t peak_live_bytes = 0;
 
   // Folds `other` into this metadata (NodeStats merged by (name, op)).
   void Merge(const RunMetadata& other);

@@ -334,7 +334,7 @@ void MatMulAvx2(const float* a, const float* b, float* c, int64_t m,
 // equals `x > 0 ? x : 0` including NaN -> +0 and -0 -> +0, and the
 // shared transcendental cores above). Everything else — Maximum/Minimum
 // (std::max/min NaN and ±0 rules differ from vmaxps/vminps),
-// comparisons, Pow/Mod/FloorDiv, Log/Sin/Cos/Sign, Cast — returns false
+// comparisons, Pow/Mod/FloorDiv, Log/Sin/Cos, Cast — returns false
 // and runs the scalar case, preserving fused == unfused bit-identity.
 
 #define AG_SIMD_BIN_LOOP(vexpr, sexpr)                        \

@@ -531,18 +531,6 @@ Tensor Abs(Tensor&& a) {
   return UnaryOp(a, a.dtype(), [](float x) { return std::fabs(x); }, &a);
 }
 
-Tensor Sign(const Tensor& a) {
-  return UnaryOp(a, a.dtype(), [](float x) {
-    return x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f);
-  });
-}
-
-Tensor Sign(Tensor&& a) {
-  return UnaryOp(
-      a, a.dtype(),
-      [](float x) { return x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f); }, &a);
-}
-
 Tensor Square(const Tensor& a) {
   return UnaryOp(a, a.dtype(), [](float x) { return x * x; });
 }
@@ -1065,54 +1053,6 @@ bool AllClose(const Tensor& a, const Tensor& b, float atol) {
 
 // ---- Fused elementwise programs ----
 
-bool FusedOpForName(const std::string& name, FusedOp* op, bool* is_binary) {
-  struct Entry {
-    const char* name;
-    FusedOp op;
-    bool binary;
-  };
-  static constexpr Entry kTable[] = {
-      {"Add", FusedOp::kAdd, true},
-      {"Sub", FusedOp::kSub, true},
-      {"Mul", FusedOp::kMul, true},
-      {"Div", FusedOp::kDiv, true},
-      {"FloorDiv", FusedOp::kFloorDiv, true},
-      {"Mod", FusedOp::kMod, true},
-      {"Pow", FusedOp::kPow, true},
-      {"Maximum", FusedOp::kMaximum, true},
-      {"Minimum", FusedOp::kMinimum, true},
-      {"Less", FusedOp::kLess, true},
-      {"LessEqual", FusedOp::kLessEqual, true},
-      {"Greater", FusedOp::kGreater, true},
-      {"GreaterEqual", FusedOp::kGreaterEqual, true},
-      {"Equal", FusedOp::kEqual, true},
-      {"NotEqual", FusedOp::kNotEqual, true},
-      {"LogicalAnd", FusedOp::kLogicalAnd, true},
-      {"LogicalOr", FusedOp::kLogicalOr, true},
-      {"LogicalNot", FusedOp::kLogicalNot, false},
-      {"Neg", FusedOp::kNeg, false},
-      {"Exp", FusedOp::kExp, false},
-      {"Log", FusedOp::kLog, false},
-      {"Tanh", FusedOp::kTanh, false},
-      {"Sigmoid", FusedOp::kSigmoid, false},
-      {"Relu", FusedOp::kRelu, false},
-      {"Sqrt", FusedOp::kSqrt, false},
-      {"Abs", FusedOp::kAbs, false},
-      {"Sign", FusedOp::kSign, false},
-      {"Square", FusedOp::kSquare, false},
-      {"Sin", FusedOp::kSin, false},
-      {"Cos", FusedOp::kCos, false},
-  };
-  for (const Entry& e : kTable) {
-    if (name == e.name) {
-      *op = e.op;
-      *is_binary = e.binary;
-      return true;
-    }
-  }
-  return false;
-}
-
 namespace {
 
 // One fused step over a block of m elements: op-at-a-time rather than
@@ -1175,8 +1115,6 @@ inline void FusedApplyBlock(const FusedStep& s, const float* a,
     case FusedOp::kRelu: AG_FUSED_LOOP(x > 0.0f ? x : 0.0f);
     case FusedOp::kSqrt: AG_FUSED_LOOP(std::sqrt(x));
     case FusedOp::kAbs: AG_FUSED_LOOP(std::fabs(x));
-    case FusedOp::kSign:
-      AG_FUSED_LOOP(x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f));
     case FusedOp::kSquare: AG_FUSED_LOOP(x * x);
     case FusedOp::kSin: AG_FUSED_LOOP(std::sin(x));
     case FusedOp::kCos: AG_FUSED_LOOP(std::cos(x));

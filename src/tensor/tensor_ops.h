@@ -43,17 +43,11 @@ enum class FusedOp : uint8_t {
   kLogicalAnd, kLogicalOr,
   // Unary (one register operand).
   kLogicalNot, kNeg, kExp, kLog, kTanh, kSigmoid, kRelu, kSqrt, kAbs,
-  kSign, kSquare, kSin, kCos,
+  kSquare, kSin, kCos,
   // Dtype-semantics boundary: applies the CastInPlace value transform
   // for `cast_to` (kBool -> 0/1, kInt32 -> trunc, float -> identity).
   kCast,
 };
-
-// Maps a graph op name ("Add", "Tanh", ...) to its FusedOp. Returns
-// false for ops with no fused form ("Cast" included — the fusion pass
-// lowers it to kCast itself, driven by the node's dtype attr).
-[[nodiscard]] bool FusedOpForName(const std::string& name, FusedOp* op,
-                                  bool* is_binary);
 
 struct FusedStep {
   FusedOp op = FusedOp::kAdd;
@@ -138,8 +132,6 @@ struct FusedProgram {
 [[nodiscard]] Tensor Sqrt(Tensor&& a);
 [[nodiscard]] Tensor Abs(const Tensor& a);
 [[nodiscard]] Tensor Abs(Tensor&& a);
-[[nodiscard]] Tensor Sign(const Tensor& a);
-[[nodiscard]] Tensor Sign(Tensor&& a);
 [[nodiscard]] Tensor Square(const Tensor& a);
 [[nodiscard]] Tensor Square(Tensor&& a);
 [[nodiscard]] Tensor Sin(const Tensor& a);

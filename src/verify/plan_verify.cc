@@ -7,7 +7,6 @@
 #include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <variant>
 
@@ -83,45 +82,13 @@ class Reachability {
 
 // Memoized per-subgraph audit facts, shared across all steps of one
 // VerifyPlan call: a While step's body graph is walked once, not once
-// per stateful-chain / race-audit query. The statefulness walk
-// mirrors CompilePlan's chain predicate; the executor keeps its copy
-// file-local on purpose (the verifier must not share the code it is
-// auditing), so a drift between the two shows up as AGV204 findings
-// rather than being silently agreed upon. Values of `stateful` use -1
-// for in-progress (cycle guard, treated as false).
+// per stateful-chain / race-audit query. Statefulness is the op table's
+// predicate (graph::NodeIsStateful), the one CompilePlan chains by;
+// AGV204 audits that the plan's edges honour it.
 struct SubgraphCache {
-  std::unordered_map<const Graph*, int> stateful;
+  graph::StatefulMemo stateful;
   std::unordered_map<const Graph*, std::set<std::string>> vars;
 };
-
-bool GraphHasStatefulNodeCached(const Graph& g, SubgraphCache& cache);
-
-bool NodeIsStatefulCached(const Node& node, SubgraphCache& cache) {
-  const std::string& op = node.op();
-  if (op == "Variable" || op == "Assign" || op == "Print") return true;
-  for (const auto& [key, value] : node.attrs()) {
-    const auto* sub = std::get_if<std::shared_ptr<Graph>>(&value);
-    if (sub != nullptr && *sub != nullptr &&
-        GraphHasStatefulNodeCached(**sub, cache)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool GraphHasStatefulNodeCached(const Graph& g, SubgraphCache& cache) {
-  auto [it, inserted] = cache.stateful.try_emplace(&g, -1);
-  if (!inserted) return it->second == 1;
-  bool found = false;
-  for (const auto& n : g.nodes()) {
-    if (NodeIsStatefulCached(*n, cache)) {
-      found = true;
-      break;
-    }
-  }
-  cache.stateful[&g] = found ? 1 : 0;
-  return found;
-}
 
 const std::set<std::string>& GraphVarTouchesCached(const Graph& g,
                                                    SubgraphCache& cache);
@@ -156,25 +123,11 @@ const std::set<std::string>& GraphVarTouchesCached(const Graph& g,
   return cache.vars[&g] = std::move(vars);
 }
 
-bool StepIsStateful(const Plan::Step& s) {
-  if (s.node == nullptr) return false;
-  SubgraphCache cache;
-  return NodeIsStatefulCached(*s.node, cache);
-}
-
-Plan::Kind ExpectedKind(const std::string& op) {
-  if (op == "Cond") return Plan::Kind::kCond;
-  if (op == "While") return Plan::Kind::kWhile;
-  if (op == "Placeholder") return Plan::Kind::kPlaceholder;
-  if (op == "Variable") return Plan::Kind::kVariable;
-  if (op == "Assign") return Plan::Kind::kAssign;
-  return Plan::Kind::kKernel;
-}
-
 }  // namespace
 
 bool PlanStepIsStateful(const Plan::Step& step) {
-  return StepIsStateful(step);
+  graph::StatefulMemo memo;
+  return step.node != nullptr && graph::NodeIsStateful(*step.node, memo);
 }
 
 std::vector<VerifyDiagnostic> VerifyPlan(const Plan& plan,
@@ -188,7 +141,7 @@ std::vector<VerifyDiagnostic> VerifyPlan(const Plan& plan,
     if (s.node == nullptr) {
       Add(&out, "AGV205", "step has a null graph node", StepRef(plan, i));
     } else {
-      const Plan::Kind expect = ExpectedKind(s.node->op());
+      const Plan::Kind expect = graph::KindForOp(s.node->op());
       if (s.kind != expect) {
         Add(&out, "AGV205",
             "step kind does not match its node's op", StepRef(plan, i),
@@ -332,7 +285,8 @@ std::vector<VerifyDiagnostic> VerifyPlan(const Plan& plan,
   int prev_stateful = -1;
   for (int i = 0; i < num_steps; ++i) {
     const Plan::Step& s = plan.steps[static_cast<size_t>(i)];
-    if (s.node == nullptr || !NodeIsStatefulCached(*s.node, subgraph_cache)) {
+    if (s.node == nullptr ||
+        !graph::NodeIsStateful(*s.node, subgraph_cache.stateful)) {
       continue;
     }
     if (prev_stateful >= 0) {

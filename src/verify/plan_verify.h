@@ -72,10 +72,11 @@ struct PlanVerifyOptions {
 [[nodiscard]] std::vector<VerifyDiagnostic> VerifyPlan(
     const exec::Session::Plan& plan, const PlanVerifyOptions& options = {});
 
-// Transitive statefulness of one plan step (Variable/Assign/Print, or a
-// Cond/While whose subgraphs contain one) — the predicate AGV204/AGV214
-// audit against, exported so fault injection (tools/agverify --inject,
-// tests/verify_test.cc) can locate chain edges to corrupt.
+// Transitive statefulness of one plan step (graph::NodeIsStateful: a
+// Variable/Assign/Print, or a Cond/While whose subgraphs contain one) —
+// the predicate AGV204 audits the chain against, exported so fault
+// injection (tools/agverify --inject, tests/verify_test.cc) can locate
+// chain edges to corrupt.
 [[nodiscard]] bool PlanStepIsStateful(const exec::Session::Plan::Step& step);
 
 }  // namespace ag::verify

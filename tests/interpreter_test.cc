@@ -2,6 +2,7 @@
 // semantics layer: Python semantics on plain values, eager tensor
 // dispatch, closures, builtins, and the tf module surface.
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <cmath>
 
@@ -116,6 +117,30 @@ def fact(n):
   EXPECT_THROW((void)Eval("def f(n):\n  return f(n)\n", "f",
                           {Value(int64_t{0})}),
                Error);
+}
+
+TEST(Interpreter, RecursionOnASmallThreadStackRaises) {
+  // A 1 MiB stack runs out long before max_call_depth calls: the
+  // native-stack check, not the depth count, must stop the recursion
+  // with the structured error instead of a stack overflow.
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, size_t{1} << 20), 0);
+  bool raised = false;
+  auto body = [](void* arg) -> void* {
+    try {
+      (void)Eval("def f(n):\n  return f(n)\n", "f", {Value(int64_t{0})});
+    } catch (const Error& e) {
+      *static_cast<bool*>(arg) =
+          e.message().find("recursion") != std::string::npos;
+    }
+    return nullptr;
+  };
+  pthread_t thread;
+  ASSERT_EQ(pthread_create(&thread, &attr, body, &raised), 0);
+  pthread_join(thread, nullptr);
+  pthread_attr_destroy(&attr);
+  EXPECT_TRUE(raised);
 }
 
 TEST(Interpreter, TensorOperatorOverloading) {

@@ -120,6 +120,21 @@ TEST(LintAG002, FlagsBranchShapeMismatch) {
   EXPECT_NE(d.message.find("shape"), std::string::npos);
 }
 
+TEST(LintAG002, TypesNnReluResult) {
+  // tf.nn.relu is typed like the other unary builtins, so its float
+  // result conflicts with the other branch's int.
+  auto diags = LintSource(
+      "def f(x):\n"
+      "  if x > 0:\n"
+      "    v = tf.nn.relu(tf.constant(1.0))\n"
+      "  else:\n"
+      "    v = 1\n"
+      "  return v\n");
+  Diagnostic d = Only(diags, "AG002");
+  EXPECT_EQ(d.location.line, 2);
+  EXPECT_NE(d.message.find("float32"), std::string::npos);
+}
+
 TEST(LintAG002, CleanWhenBranchesAgree) {
   auto diags = LintSource(
       "def f(x):\n"

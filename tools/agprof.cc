@@ -102,7 +102,7 @@ void PrintAllocStats(const ag::obs::RunMetadata& meta) {
                     ? (100 * meta.pool_hit_count + requests / 2) / requests
                     : 0)
             << "%\n"
-            << "peak_live_bytes=" << meta.peak_live_bytes
+            << "process peak: peak_live_bytes=" << pool.peak_live_bytes
             << " retained_bytes=" << pool.retained_bytes << "\n";
 }
 
