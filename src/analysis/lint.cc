@@ -400,7 +400,6 @@ void ApplyChecksSpec(const LintOptions& options,
 
 void ValidateChecksSpec(const PipelineSpec& checks) {
   auto known = [](const std::string& name) {
-    if (name == "default") return true;
     if (name.size() != 5 || name.compare(0, 2, "AG") != 0) return false;
     return name >= "AG001" && name <= "AG007";
   };

@@ -420,10 +420,13 @@ TypeFact ShapeInference::EvalCall(const ExprPtr& expr, const TypeEnv& env) {
                                                     : DTypeFact::kFloat32;
     return TypeFact::Tensor(dtype, shape);
   }
-  static const std::set<std::string> kElementwiseUnary = {
-      "tf.tanh",   "tf.sigmoid", "tf.exp", "tf.log",    "tf.sqrt",
-      "tf.square", "tf.abs",     "tf.sin", "tf.cos",    "tf.nn.relu"};
-  if (kElementwiseUnary.count(name) > 0) {
+  // Unary builtins whose result keeps the argument's dtype and shape.
+  static const std::set<std::string> kShapePreservingUnary = {
+      "tf.tanh",       "tf.sigmoid",        "tf.exp",     "tf.log",
+      "tf.sqrt",       "tf.square",         "tf.abs",     "tf.sin",
+      "tf.cos",        "tf.nn.relu",        "tf.nn.tanh", "tf.nn.sigmoid",
+      "tf.nn.softmax", "tf.nn.log_softmax"};
+  if (kShapePreservingUnary.count(name) > 0) {
     TypeFact a = arg(0);
     if (a.kind == TypeKind::kTensor) return a;
     return TypeFact::Tensor(DTypeFact::kTop, ShapeFact::Top());

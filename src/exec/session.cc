@@ -50,9 +50,15 @@ int64_t OutputBytes(const std::vector<RuntimeValue>& outputs) {
 // shapes must be computed BEFORE the kernel runs, anything derived from
 // outputs after.
 //
-// MatMulFlops: 2·m·k·n for the kMatMul model; 0 otherwise. Pre-kernel.
-int64_t MatMulFlops(graph::FlopModel model,
-                    const std::vector<RuntimeValue>& inputs) {
+// InputFlops: 2·m·k·n for kMatMul, one flop per element of the first
+// input for kReduce; 0 otherwise. Pre-kernel.
+int64_t InputFlops(graph::FlopModel model,
+                   const std::vector<RuntimeValue>& inputs) {
+  if (model == graph::FlopModel::kReduce) {
+    if (inputs.empty() || !IsTensor(inputs[0])) return 0;
+    const Tensor& a = AsTensor(inputs[0]);
+    return a.defined() ? a.num_elements() : 0;
+  }
   if (model != graph::FlopModel::kMatMul) return 0;
   if (inputs.size() < 2 || !IsTensor(inputs[0]) || !IsTensor(inputs[1])) {
     return 0;
@@ -808,7 +814,7 @@ void Session::ExecStep(const Plan::Step& step,
       const graph::OpDef* def =
           ctx.rec != nullptr ? graph::FindOpDef(node->op()) : nullptr;
       const auto flops = def != nullptr ? def->flops : graph::FlopModel::kNone;
-      const int64_t mm_flops = MatMulFlops(flops, inputs);
+      const int64_t in_flops = InputFlops(flops, inputs);
       try {
         *out = (*step.kernel)(*node, inputs);
       } catch (const Error& e) {
@@ -820,7 +826,7 @@ void Session::ExecStep(const Plan::Step& step,
         ctx.rec->RecordNode(node->name(), node->op(), t0, obs::NowNs(),
                             OutputBytes(*out),
                             tensor::ThreadAllocCount() - alloc0,
-                            mm_flops + ElementwiseFlops(flops, *node, *out),
+                            in_flops + ElementwiseFlops(flops, *node, *out),
                             in_bytes,
                             tensor::simd::KernelBackendName(
                                 tensor::simd::ActiveBackend()));

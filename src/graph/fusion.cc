@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "graph/ops.h"
-#include "graph/pass_manager.h"
+#include "graph/optimize.h"
 #include "support/error.h"
 
 namespace ag::graph {

@@ -117,8 +117,11 @@ constexpr OpDef kOpTable[] = {
     Pure("QuantizedMatMul", R::kFloat, {}, F::kMatMul),
 
     // ---- reductions, shapes and data movement -----------------------
-    Pure("ReduceSum"), Pure("ReduceMean"), Pure("ReduceMax"),
-    Pure("ReduceMin"), Pure("ArgMax", R::kInt), Pure("TopK", R::kTopK),
+    Pure("ReduceSum", R::kPropagate, {}, F::kReduce),
+    Pure("ReduceMean", R::kPropagate, {}, F::kReduce),
+    Pure("ReduceMax", R::kPropagate, {}, F::kReduce),
+    Pure("ReduceMin", R::kPropagate, {}, F::kReduce),
+    Pure("ArgMax", R::kInt), Pure("TopK", R::kTopK),
     Pure("Reshape"), Pure("ReshapeLike"), Pure("ExpandDims"),
     Pure("Transpose"), Pure("Concat"), Pure("Pack"),
     Pure("Shape", R::kInt), Pure("Size", R::kInt), Pure("Dim0", R::kInt),

@@ -44,9 +44,16 @@ inline constexpr uint8_t kOpPure = 1;      // folding, CSE, LICM may rewrite
 inline constexpr uint8_t kOpStateful = 2;  // ordered by the stateful chain
 inline constexpr uint8_t kOpDceRoot = 4;   // DCE keeps it without consumers
 
-// Step-stats FLOP estimate: none, one per output element, 2·m·k·n, or
-// one per output element per FusedElementwise body op.
-enum class FlopModel : uint8_t { kNone, kUnit, kMatMul, kFusedBody };
+// Step-stats FLOP estimate: none, one per output element, 2·m·k·n, one
+// per output element per FusedElementwise body op, or one per input
+// element (reductions).
+enum class FlopModel : uint8_t {
+  kNone,
+  kUnit,
+  kMatMul,
+  kFusedBody,
+  kReduce,
+};
 
 // Scalar form inside a FusedElementwise body (graph/fusion.h).
 struct FusedForm {

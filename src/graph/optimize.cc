@@ -1,5 +1,6 @@
 #include "graph/optimize.h"
 
+#include <chrono>
 #include <cstdlib>
 #include <map>
 #include <sstream>
@@ -7,9 +8,9 @@
 
 #include "graph/fusion.h"
 #include "graph/ops.h"
-#include "graph/pass_manager.h"
 #include "graph/quantize.h"
 #include "support/error.h"
+#include "verify/verify.h"
 
 namespace ag::graph {
 namespace {
@@ -160,7 +161,7 @@ int HoistWhileInvariants(Graph* outer, Node* while_node) {
   return count;
 }
 
-// ---- Pass bodies (registered by RegisterBuiltinGraphPasses) ----------
+// ---- Pass bodies (rows of kGraphPasses) ------------------------------
 
 // Loop-invariant code motion: pure ops inside a While body that depend
 // only on loop-invariant captures/constants are hoisted into the outer
@@ -288,6 +289,27 @@ int RunDce(PassContext& ctx) {
   return pruned;
 }
 
+// The fixed pass order: hoist, simplify, fuse, clean up. cse follows
+// constant_folding so folded constants merge; quantize_weights follows
+// constant_folding so folded weight expressions quantize as Consts, and
+// is off by default because int8 trades accuracy for throughput
+// ("default,+quantize_weights" opts in); dce runs last to drop what the
+// others left behind.
+constexpr GraphPass kGraphPasses[] = {
+    {"licm", true, false, RunLicm},
+    {"constant_folding", true, true, RunConstantFolding},
+    {"cse", true, false, RunCse},
+    {"fusion", true, false, FuseElementwiseChains},
+    {"quantize_weights", false, false, QuantizeWeights},
+    {"dce", true, false, RunDce},
+};
+
+int64_t MonotonicNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 }  // namespace
 
 bool DefaultVerifyEachPass() {
@@ -298,64 +320,31 @@ bool DefaultVerifyEachPass() {
   return value;
 }
 
-void RegisterBuiltinGraphPasses(PassRegistry& registry) {
-  PassInfo licm;
-  licm.name = "licm";
-  licm.phase = PassPhase::kHoist;
-  licm.run = RunLicm;
-  registry.Register(licm);
+std::span<const GraphPass> GraphPasses() { return kGraphPasses; }
 
-  PassInfo folding;
-  folding.name = "constant_folding";
-  folding.phase = PassPhase::kSimplify;
-  folding.needs_evaluator = true;
-  folding.run = RunConstantFolding;
-  registry.Register(folding);
-
-  PassInfo cse;
-  cse.name = "cse";
-  cse.phase = PassPhase::kSimplify;
-  cse.after = {"constant_folding"};
-  cse.run = RunCse;
-  registry.Register(cse);
-
-  PassInfo fusion;
-  fusion.name = "fusion";
-  fusion.phase = PassPhase::kFuse;
-  fusion.after = {"cse"};
-  fusion.run = FuseElementwiseChains;
-  registry.Register(fusion);
-
-  // Default-off: int8 trades accuracy for throughput, so it must be an
-  // explicit caller choice ("default,+quantize_weights"). After
-  // constant_folding so folded weight expressions quantize as Consts.
-  PassInfo quantize;
-  quantize.name = "quantize_weights";
-  quantize.phase = PassPhase::kFuse;
-  quantize.after = {"constant_folding"};
-  quantize.default_enabled = false;
-  quantize.run = QuantizeWeights;
-  registry.Register(quantize);
-
-  PassInfo dce;
-  dce.name = "dce";
-  dce.phase = PassPhase::kCleanup;
-  dce.after = {"fusion"};
-  dce.run = RunDce;
-  registry.Register(dce);
+void CheckGraphPipeline(const PipelineSpec& spec) {
+  std::vector<std::string_view> names;
+  for (const GraphPass& pass : kGraphPasses) names.emplace_back(pass.name);
+  spec.CheckNames(names);
 }
 
-PipelineSpec EffectivePipeline(const OptimizeOptions& options) {
-  PipelineSpec spec = options.pipeline;
-  if (!spec.specified) {
-    // Read per call, not cached: AG_PASSES is a debugging knob and
-    // tests flip it between Stage calls.
-    const char* env = std::getenv("AG_PASSES");
-    if (env != nullptr && env[0] != '\0') {
-      spec = PipelineSpec::Parse(env);
+void RemapNodeRefs(Graph* graph,
+                   const std::unordered_map<const Node*, Node*>& remap) {
+  auto fix = [&remap](Output& o) {
+    auto it = remap.find(o.node);
+    if (it != remap.end()) o.node = it->second;
+  };
+  for (const auto& n : graph->nodes()) {
+    for (Output& in : *n->mutable_inputs()) fix(in);
+    for (const auto& [key, attr] : n->attrs()) {
+      if (const auto* sub = std::get_if<std::shared_ptr<Graph>>(&attr)) {
+        auto* fg = dynamic_cast<FuncGraph*>(sub->get());
+        if (fg != nullptr) {
+          for (Output& c : fg->captures) fix(c);
+        }
+      }
     }
   }
-  return spec;
 }
 
 std::string OptimizeStats::DebugString() const {
@@ -381,9 +370,41 @@ std::string OptimizeStats::DebugString() const {
 OptimizeStats Optimize(Graph* graph, std::vector<Output>* roots,
                        const NodeEvaluator& evaluator,
                        const OptimizeOptions& options) {
-  return PassManager().Run(EffectivePipeline(options), graph, roots,
-                           evaluator, options.verify_each_pass,
-                           options.variable_snapshot);
+  const PipelineSpec& spec = options.pipeline;
+  CheckGraphPipeline(spec);
+  OptimizeStats stats;
+  PassContext ctx;
+  ctx.graph = graph;
+  ctx.roots = roots;
+  ctx.evaluator = evaluator ? &evaluator : nullptr;
+  ctx.stats = &stats;
+  ctx.variable_snapshot = options.variable_snapshot;
+
+  for (const GraphPass& pass : kGraphPasses) {
+    if (!spec.Selects(pass.name, pass.default_enabled)) continue;
+    if (pass.needs_evaluator && ctx.evaluator == nullptr) continue;
+    OptimizePassStat stat;
+    stat.pass = pass.name;
+    stat.nodes_before = static_cast<int>(graph->num_nodes());
+    const int64_t start_ns = MonotonicNs();
+    stat.changed = pass.run(ctx);
+    stat.wall_ns = MonotonicNs() - start_ns;
+    stat.nodes_after = static_cast<int>(graph->num_nodes());
+    stats.passes.push_back(std::move(stat));
+    if (!options.verify_each_pass) continue;
+    // Per-pass validation: the first broken invariant stops the
+    // pipeline so the attribution names the pass that introduced the
+    // damage rather than one that merely ran over it later.
+    const std::vector<verify::VerifyDiagnostic> findings =
+        verify::VerifyGraphAndRoots(*graph, *roots);
+    stats.passes.back().verify_findings = static_cast<int>(findings.size());
+    if (!findings.empty()) {
+      stats.broken_pass = pass.name;
+      stats.broken_finding = findings.front().str();
+      break;
+    }
+  }
+  return stats;
 }
 
 }  // namespace ag::graph

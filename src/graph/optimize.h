@@ -1,8 +1,8 @@
 // Whole-graph optimization passes — the "whole-program optimization"
 // benefit graph-based systems get over imperative ones (paper §1).
 //
-// The built-in pipeline (see pass_manager.h for the registry that
-// orders it):
+// The pass table (GraphPasses(), in optimize.cc) fixes the order every
+// pipeline runs in; a PipelineSpec only selects rows from it:
 //   - licm: loop-invariant pure ops inside While bodies are hoisted
 //     into the outer graph and re-captured.
 //   - constant_folding: pure ops whose inputs are all Const are
@@ -11,13 +11,17 @@
 //   - cse: structurally identical pure nodes are merged.
 //   - fusion: single-consumer chains of elementwise/cast ops collapse
 //     into one FusedElementwise node with a composed kernel (fusion.h).
+//   - quantize_weights (off by default): float MatMuls against static
+//     weights become int8 QuantizedMatMuls (quantize.h).
 //   - dce: nodes not reachable from the fetch roots are pruned.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.h"
@@ -36,10 +40,8 @@ using NodeEvaluator = std::function<std::vector<Tensor>(
 
 struct OptimizeOptions {
   // Which passes run, as a pipeline spec ("licm,cse,-dce" — see
-  // support/pass_pipeline.h for the grammar). When unspecified, the
-  // effective pipeline is the AG_PASSES environment variable if set,
-  // else the registry's default set. The spec selects; the registry
-  // orders.
+  // support/pass_pipeline.h for the grammar). The spec selects rows of
+  // GraphPasses(); they run in table order.
   PipelineSpec pipeline;
   // Per-pass validation: run the graph well-formedness checker
   // (verify::VerifyGraphAndRoots, AGV1xx) after every executed pass.
@@ -58,14 +60,9 @@ struct OptimizeOptions {
   const std::map<std::string, Tensor>* variable_snapshot = nullptr;
 };
 
-// Resolves `options` into the pipeline spec Optimize() will run: the
-// explicit `options.pipeline` if specified, else AG_PASSES (parsed per
-// call — it is a debugging knob), else the default spec.
-[[nodiscard]] PipelineSpec EffectivePipeline(const OptimizeOptions& options);
-
 // Per-pass record: what one optimization pass did to the graph.
 struct OptimizePassStat {
-  std::string pass;     // registry name: "licm", "cse", "fusion", ...
+  std::string pass;     // table name: "licm", "cse", "fusion", ...
   int changed = 0;      // nodes hoisted/folded/merged/pruned by the pass
   int nodes_before = 0; // top-level node count entering the pass
   int nodes_after = 0;  // top-level node count leaving the pass
@@ -94,10 +91,51 @@ struct OptimizeStats {
   [[nodiscard]] std::string DebugString() const;
 };
 
+// Everything a pass body may touch. `evaluator` is null when the caller
+// supplied none (passes with needs_evaluator are then skipped).
+struct PassContext {
+  Graph* graph = nullptr;
+  std::vector<Output>* roots = nullptr;
+  const NodeEvaluator* evaluator = nullptr;
+  OptimizeStats* stats = nullptr;
+  // Calibration data for quantize_weights: variable name -> value at
+  // staging time (OptimizeOptions::variable_snapshot). Null when the
+  // caller supplied none; Variables without an entry are left in float.
+  const std::map<std::string, Tensor>* variable_snapshot = nullptr;
+};
+
+// One row of the graph pass table.
+struct GraphPass {
+  const char* name;        // PipelineSpec token
+  bool default_enabled;    // selected by "default" and by an empty spec
+  bool needs_evaluator;    // skipped (not failed) without an evaluator
+  // The pass body. Returns its work metric (nodes hoisted/folded/
+  // merged/fused/pruned) for OptimizePassStat::changed.
+  int (*run)(PassContext&);
+};
+
+// The graph passes, in the one order Optimize runs them.
+[[nodiscard]] std::span<const GraphPass> GraphPasses();
+
+// Throws ValueError ("unknown pass '...' (registered: ...)") when `spec`
+// names a pass missing from GraphPasses(). The CLIs call it while
+// parsing --passes= so a typo is a usage error.
+void CheckGraphPipeline(const PipelineSpec& spec);
+
+// Rewrites every input edge (and direct subgraph capture) of `graph`
+// according to `remap`. Shared by passes that replace nodes (constant
+// folding, cse, fusion, quantize_weights); callers must remap
+// roots/returns themselves.
+void RemapNodeRefs(Graph* graph,
+                   const std::unordered_map<const Node*, Node*>& remap);
+
 // Optimizes `graph` in place, preserving the meaning of `roots` (which are
-// remapped if their producers are merged/folded). Returns statistics.
-// A thin shim over PassManager::Run with the global registry and
-// EffectivePipeline(options) — see pass_manager.h.
+// remapped if their producers are merged/folded): runs the rows of
+// GraphPasses() that `options.pipeline` selects, in table order. With
+// verify_each_pass, the graph checker runs after every pass and the
+// first broken invariant stops the pipeline with
+// OptimizeStats::broken_pass naming the culprit. Throws ValueError for
+// an unknown pass name.
 OptimizeStats Optimize(Graph* graph, std::vector<Output>* roots,
                        const NodeEvaluator& evaluator,
                        const OptimizeOptions& options = {});

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "graph/pass_manager.h"
+#include "graph/optimize.h"
 #include "tensor/quant.h"
 
 namespace ag::graph {

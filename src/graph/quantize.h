@@ -10,7 +10,7 @@
 // MatMul becomes QuantizedMatMul(x, wq) carrying the weight scale and
 // zero point as attrs.
 //
-// Registered default-off (select with "default,+quantize_weights"):
+// Off by default (select with "default,+quantize_weights"):
 // int8 trades accuracy for throughput, which must be an explicit
 // caller choice.
 #pragma once

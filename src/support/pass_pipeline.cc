@@ -1,10 +1,6 @@
 #include "support/pass_pipeline.h"
 
 #include <algorithm>
-#include <functional>
-#include <map>
-#include <set>
-#include <utility>
 
 #include "support/error.h"
 #include "support/strings.h"
@@ -36,12 +32,13 @@ PipelineSpec PipelineSpec::Parse(const std::string& text) {
       negate = token[0] == '-';
       token = Strip(token.substr(1));
     }
-    if (!ValidName(token)) {
+    // "-default" names no pass; accepting it would silently select the
+    // default pipeline, the opposite of what it reads as.
+    if (!ValidName(token) || (negate && token == "default")) {
       throw ValueError("pass pipeline: malformed token '" + Strip(raw) +
                        "' (expected [+|-]name or 'default')");
     }
-    spec.specified = true;
-    if (!negate && token == "default") {
+    if (token == "default") {
       saw_default = true;
     } else if (negate) {
       spec.exclude.push_back(token);
@@ -54,15 +51,7 @@ PipelineSpec PipelineSpec::Parse(const std::string& text) {
   return spec;
 }
 
-std::string PipelineSpec::str() const {
-  std::vector<std::string> tokens;
-  if (from_default) tokens.emplace_back("default");
-  for (const std::string& name : include) tokens.push_back(name);
-  for (const std::string& name : exclude) tokens.push_back("-" + name);
-  return Join(tokens, ",");
-}
-
-bool PipelineSpec::Selects(const std::string& name,
+bool PipelineSpec::Selects(std::string_view name,
                            bool default_enabled) const {
   if (std::find(exclude.begin(), exclude.end(), name) != exclude.end()) {
     return false;
@@ -73,87 +62,22 @@ bool PipelineSpec::Selects(const std::string& name,
   return from_default && default_enabled;
 }
 
-std::vector<size_t> OrderPasses(const std::vector<PassOrderNode>& nodes) {
-  const size_t n = nodes.size();
-  std::map<std::string, size_t> pos;
-  for (size_t i = 0; i < n; ++i) pos.emplace(nodes[i].name, i);
-
-  // Constraint edges (edge a -> b: a runs first); names not present in
-  // `nodes` are vacuous (deselected passes constrain nothing).
-  std::vector<std::vector<size_t>> succ(n);
-  std::vector<int> indegree(n, 0);
-  auto add_edge = [&succ, &indegree](size_t from, size_t to) {
-    if (std::find(succ[from].begin(), succ[from].end(), to) ==
-        succ[from].end()) {
-      succ[from].push_back(to);
-      ++indegree[to];
+void PipelineSpec::CheckNames(
+    const std::vector<std::string_view>& known) const {
+  auto check = [&known](const std::vector<std::string>& names,
+                        const char* where) {
+    for (const std::string& name : names) {
+      if (std::find(known.begin(), known.end(), name) != known.end()) {
+        continue;
+      }
+      const std::vector<std::string> registered(known.begin(), known.end());
+      throw ValueError("pass pipeline: unknown pass '" + name + "' in " +
+                       where + " list (registered: " +
+                       Join(registered, ", ") + ")");
     }
   };
-  for (size_t i = 0; i < n; ++i) {
-    for (const std::string& dep : nodes[i].after) {
-      auto it = pos.find(dep);
-      if (it != pos.end()) add_edge(it->second, i);
-    }
-    for (const std::string& next : nodes[i].before) {
-      auto it = pos.find(next);
-      if (it != pos.end()) add_edge(i, it->second);
-    }
-  }
-
-  // Kahn's algorithm; among ready passes, pick the smallest
-  // (rank, index) so rank is a soft preference and the order is
-  // deterministic.
-  std::set<std::pair<std::pair<int, size_t>, size_t>> ready;
-  for (size_t i = 0; i < n; ++i) {
-    if (indegree[i] == 0) ready.insert({{nodes[i].rank, i}, i});
-  }
-  std::vector<size_t> order;
-  order.reserve(n);
-  std::vector<char> placed(n, 0);
-  while (!ready.empty()) {
-    const size_t i = ready.begin()->second;
-    ready.erase(ready.begin());
-    placed[i] = 1;
-    order.push_back(i);
-    for (size_t next : succ[i]) {
-      if (--indegree[next] == 0) {
-        ready.insert({{nodes[next].rank, next}, next});
-      }
-    }
-  }
-
-  if (order.size() != n) {
-    // Constraint cycle. Walk the remaining subgraph to recover one
-    // concrete cycle so the error names the passes involved.
-    std::vector<int> state(n, 0);  // 0 unvisited, 1 on stack, 2 done
-    std::vector<size_t> stack;
-    std::vector<std::string> cycle;
-    std::function<bool(size_t)> dfs = [&](size_t i) -> bool {
-      state[i] = 1;
-      stack.push_back(i);
-      for (size_t next : succ[i]) {
-        if (placed[next] != 0) continue;  // resolved by Kahn
-        if (state[next] == 1) {
-          auto start = std::find(stack.begin(), stack.end(), next);
-          for (auto it = start; it != stack.end(); ++it) {
-            cycle.push_back(nodes[*it].name);
-          }
-          return true;
-        }
-        if (state[next] == 0 && dfs(next)) return true;
-      }
-      stack.pop_back();
-      state[i] = 2;
-      return false;
-    };
-    for (size_t i = 0; i < n && cycle.empty(); ++i) {
-      if (placed[i] == 0 && state[i] == 0) dfs(i);
-    }
-    throw ValueError(
-        "pass pipeline: ordering constraint cycle among passes: " +
-        Join(cycle, " -> ") + (cycle.empty() ? "" : " -> " + cycle.front()));
-  }
-  return order;
+  check(include, "include");
+  check(exclude, "exclude");
 }
 
 }  // namespace ag

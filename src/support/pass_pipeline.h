@@ -1,20 +1,22 @@
-// Pass-pipeline selection spec, shared by every pass-manager surface
-// (graph::PassRegistry, transforms::, and the aglint check filter).
+// Pass-pipeline selection spec, shared by the graph pass table
+// (graph/optimize.h), the conversion pass table (transforms/passes.h)
+// and the aglint check filter.
 //
 // Grammar (comma-separated tokens, whitespace ignored):
 //
-//   default        start from the registry's default-enabled set
+//   default        start from the table's default-enabled set
 //   name | +name   include pass `name`
 //   -name          exclude pass `name` (applied after all inclusions)
 //
 // A spec with no positive tokens (only exclusions, or nothing at all)
 // implicitly starts from the default set, so "-dce" means "the default
 // pipeline without dce" while "licm,cse" means "exactly licm and cse".
-// The spec selects *which* passes run; the registry orders them (phase,
-// then topological over after/before constraints).
+// The spec selects *which* passes run; they always run in the order of
+// the table that owns them.
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ag {
@@ -25,43 +27,20 @@ struct PipelineSpec {
   bool from_default = true;
   std::vector<std::string> include;  // positive tokens, in spec order
   std::vector<std::string> exclude;  // "-name" tokens
-  // True when this spec came from a non-empty Parse input; lets callers
-  // distinguish "user asked for the default pipeline" from "user said
-  // nothing" (e.g. to fall back to the AG_PASSES environment variable).
-  bool specified = false;
 
-  // Parses the grammar above. Throws ValueError on a malformed token.
-  // Parse("") returns a default, unspecified spec.
+  // Parses the grammar above. Throws ValueError on a malformed token,
+  // including "-default". Parse("") returns the default spec.
   [[nodiscard]] static PipelineSpec Parse(const std::string& text);
 
-  // Canonical round-trippable rendering, e.g. "default,-dce".
-  [[nodiscard]] std::string str() const;
-
-  // True when pass `name` (whose registry default is `default_enabled`)
+  // True when pass `name` (whose table default is `default_enabled`)
   // is selected by this spec.
-  [[nodiscard]] bool Selects(const std::string& name,
+  [[nodiscard]] bool Selects(std::string_view name,
                              bool default_enabled) const;
-};
 
-// One selected pass's ordering declaration — the layer-neutral shape
-// both registries (transforms::PassRegistry over AST passes,
-// graph::PassRegistry over graph passes) hand to OrderPasses so pass
-// scheduling behaves identically at every level of the pipeline.
-struct PassOrderNode {
-  std::string name;
-  std::vector<std::string> after;   // these run first (hard constraint)
-  std::vector<std::string> before;  // these run later (hard constraint)
-  int rank = 0;  // soft preference (e.g. phase); ties break by index
+  // Throws ValueError when a token names a pass outside `known` (a pass
+  // table's names, which the message lists), so a typo is an error
+  // rather than a silently different pipeline.
+  void CheckNames(const std::vector<std::string_view>& known) const;
 };
-
-// Returns indices into `nodes` in execution order. Constraints are hard
-// (Kahn's algorithm); among ready passes the smallest (rank, index)
-// pair runs first, so `rank` acts as a soft phase preference and the
-// result is deterministic. Constraints naming passes absent from
-// `nodes` are vacuous here — registries validate names against their
-// full registration set before selecting. A constraint cycle throws
-// ValueError spelling out one concrete cycle ("a -> b -> a").
-[[nodiscard]] std::vector<size_t> OrderPasses(
-    const std::vector<PassOrderNode>& nodes);
 
 }  // namespace ag

@@ -7,15 +7,18 @@
 // plus an initial Desugar pass (augmented assignment lowering) that
 // normalizes the tree so later passes handle fewer shapes.
 //
-// Every pass takes and returns a statement list; ConvertFunctionAst runs
-// the whole pipeline on one function definition (re-running the static
-// analyses between passes, since transforms invalidate node-keyed
-// annotations).
+// Every pass takes and returns a statement list. ConversionPasses() is
+// the one table of them, in that order; ConvertFunctionAst runs the rows
+// ConversionOptions::pipeline selects, in table order, on one function
+// definition (each pass re-runs the static analyses it needs, since
+// transforms invalidate node-keyed annotations).
 #pragma once
 
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "analysis/lint.h"
 #include "lang/ast.h"
@@ -36,11 +39,11 @@ struct ConversionOptions {
   // converted_call (the paper's whitelisted modules: TF itself, and the
   // AutoGraph operators).
   std::set<std::string> whitelist{"tf", "ag", "ag__"};
-  // Which conversion passes run (see transforms::PassRegistry for the
-  // registered names and support/pass_pipeline.h for the grammar). An
-  // unspecified spec runs the default pipeline. Excluding "call_trees"
-  // ("-call_trees") selects non-recursive conversion: calls are not
-  // wrapped, and the interpreter runs unconverted callees as-is.
+  // Which conversion passes run (see ConversionPasses() for the names
+  // and support/pass_pipeline.h for the grammar). The default spec runs
+  // every pass. Excluding "call_trees" ("-call_trees") selects
+  // non-recursive conversion: calls are not wrapped, and the
+  // interpreter runs unconverted callees as-is.
   PipelineSpec pipeline;
   // Staging-safety diagnostics run over the *original* function before
   // any pass, so locations always point at user source.
@@ -65,7 +68,22 @@ struct ConversionOptions {
 [[nodiscard]] lang::StmtList TernaryPass(const lang::StmtList& body);
 [[nodiscard]] lang::StmtList LogicalPass(const lang::StmtList& body);
 
-// Runs the full pipeline on a (cloned) function definition. The result is
+// One row of the conversion pass table: the PipelineSpec token and the
+// body, which rewrites the body of the function with parameters
+// `params`.
+struct ConversionPass {
+  const char* name;
+  lang::StmtList (*run)(const lang::StmtList& body,
+                        const ConversionOptions& options,
+                        const std::vector<std::string>& params);
+};
+
+// The conversion passes, in the one order ConvertFunctionAst runs them:
+// desugar, directives, break, continue, return, assert, lists, slices,
+// call_trees, control_flow, ternary, logical.
+[[nodiscard]] std::span<const ConversionPass> ConversionPasses();
+
+// Runs the selected passes on a (cloned) function definition. The result is
 // a new FunctionDef whose body is in overloadable functional form; the
 // original is left untouched.
 [[nodiscard]] std::shared_ptr<lang::FunctionDefStmt> ConvertFunctionAst(

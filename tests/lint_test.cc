@@ -135,6 +135,25 @@ TEST(LintAG002, TypesNnReluResult) {
   EXPECT_NE(d.message.find("float32"), std::string::npos);
 }
 
+TEST(LintAG002, TypesNnActivationResults) {
+  // tf.nn.tanh/sigmoid/softmax/log_softmax keep their argument's dtype
+  // and shape, so each float result conflicts with the other branch's
+  // int exactly as tf.nn.relu does.
+  for (const std::string fn :
+       {"tf.nn.tanh", "tf.nn.sigmoid", "tf.nn.softmax", "tf.nn.log_softmax"}) {
+    auto diags = LintSource(
+        "def f(x):\n"
+        "  if x > 0:\n"
+        "    v = " + fn + "(tf.constant([1.0, 2.0]))\n"
+        "  else:\n"
+        "    v = 1\n"
+        "  return v\n");
+    Diagnostic d = Only(diags, "AG002");
+    EXPECT_EQ(d.location.line, 2) << fn;
+    EXPECT_NE(d.message.find("float32"), std::string::npos) << fn;
+  }
+}
+
 TEST(LintAG002, CleanWhenBranchesAgree) {
   auto diags = LintSource(
       "def f(x):\n"

@@ -111,6 +111,7 @@ TEST(OpTable, FlopModelPinsNodeStats) {
       graph::Op(ctx, "MatMul", {x, w}),                             // matmul
       graph::Op(ctx, "Exp", {graph::Op(ctx, "Mul", {x, half})}),    // chain
       graph::Op(ctx, "Less", {x, half}),                            // none
+      graph::Op(ctx, "ReduceSum", {x}, {{"axis", int64_t{0}}}),     // reduce
   };
   graph::OptimizeOptions options;
   options.pipeline = PipelineSpec::Parse("fusion,dce");
@@ -127,6 +128,7 @@ TEST(OpTable, FlopModelPinsNodeStats) {
   EXPECT_EQ(FlopsOf(meta, "MatMul"), 2 * 2 * 3 * 4);    // 2·m·k·n
   EXPECT_EQ(FlopsOf(meta, "FusedElementwise"), 2 * 6);  // 2 body ops
   EXPECT_EQ(FlopsOf(meta, "Less"), 0);
+  EXPECT_EQ(FlopsOf(meta, "ReduceSum"), 6);  // one per input element
 }
 
 }  // namespace

@@ -38,7 +38,7 @@
 #include "artifact/crc32c.h"
 #include "core/api.h"
 #include "core/artifact_io.h"
-#include "graph/pass_manager.h"
+#include "graph/optimize.h"
 #include "lang/parser.h"
 
 namespace {
@@ -107,8 +107,7 @@ int Compile(const std::string& input, const std::string& output,
     try {
       stage_options.optimize_options.pipeline =
           ag::PipelineSpec::Parse(passes_spec);
-      (void)ag::graph::PassRegistry::Global().BuildPipeline(
-          stage_options.optimize_options.pipeline);
+      ag::graph::CheckGraphPipeline(stage_options.optimize_options.pipeline);
     } catch (const ag::Error& e) {
       std::cerr << "agc: " << e.what() << "\n";
       return 2;

@@ -36,7 +36,7 @@
 #include <vector>
 
 #include "core/api.h"
-#include "graph/pass_manager.h"
+#include "graph/optimize.h"
 #include "lang/parser.h"
 #include "obs/chrome_trace.h"
 #include "obs/run_metadata.h"
@@ -195,9 +195,9 @@ int main(int argc, char** argv) {
       try {
         stage_options.optimize_options.pipeline =
             ag::PipelineSpec::Parse(arg.substr(9));
-        // Validate names against the registry now so a typo is a usage
-        // error (2), not a per-file staging failure.
-        (void)ag::graph::PassRegistry::Global().BuildPipeline(
+        // Validate names against the pass table now so a typo is a
+        // usage error (2), not a per-file staging failure.
+        ag::graph::CheckGraphPipeline(
             stage_options.optimize_options.pipeline);
       } catch (const ag::Error& e) {
         std::cerr << "agprof: " << e.what() << "\n";

@@ -53,7 +53,6 @@
 #include "core/api.h"
 #include "exec/kernels.h"
 #include "graph/optimize.h"
-#include "graph/pass_manager.h"
 #include "lang/parser.h"
 #include "verify/plan_verify.h"
 #include "verify/verify.h"
@@ -335,9 +334,9 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--passes=", 0) == 0) {
       try {
         pipeline = ag::PipelineSpec::Parse(arg.substr(9));
-        // Validate names against the registry now so a typo is a usage
-        // error (2), not a per-file verification failure.
-        (void)ag::graph::PassRegistry::Global().BuildPipeline(pipeline);
+        // Validate names against the pass table now so a typo is a
+        // usage error (2), not a per-file verification failure.
+        ag::graph::CheckGraphPipeline(pipeline);
       } catch (const ag::Error& e) {
         std::cerr << "agverify: " << e.what() << "\n";
         return 2;
