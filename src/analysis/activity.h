@@ -28,7 +28,8 @@ struct Scope {
 
 // Computes scopes for every statement in `body`, recursively. Results are
 // keyed by statement node identity, so they are invalidated by transforms
-// that replace nodes (the pass manager re-runs analyses between passes).
+// that replace nodes (each conversion pass that needs them computes them
+// afresh on its own input).
 class ActivityAnalysis {
  public:
   explicit ActivityAnalysis(const lang::StmtList& body);

@@ -1,7 +1,5 @@
 #include "analysis/shape_infer.h"
 
-#include <set>
-
 #include "analysis/activity.h"
 #include "tensor/shape.h"
 
@@ -114,6 +112,22 @@ std::set<std::string> ModifiedNamesOf(const StmtList& stmts) {
 }
 
 }  // namespace
+
+const TypedBuiltins& TypedTfBuiltins() {
+  static const TypedBuiltins kTyped{
+      .shape_preserving_unary = {"tf.tanh", "tf.sigmoid", "tf.exp",
+                                 "tf.log", "tf.sqrt", "tf.square",
+                                 "tf.abs", "tf.sin", "tf.cos", "tf.nn.relu",
+                                 "tf.nn.tanh", "tf.nn.sigmoid",
+                                 "tf.nn.softmax", "tf.nn.log_softmax"},
+      .elementwise_binary = {"tf.add", "tf.subtract", "tf.multiply",
+                             "tf.divide", "tf.maximum", "tf.minimum",
+                             "tf.pow"},
+      .reductions = {"tf.reduce_sum", "tf.reduce_mean", "tf.reduce_max",
+                     "tf.reduce_min"},
+  };
+  return kTyped;
+}
 
 ShapeInference::ShapeInference(const lang::FunctionDefStmt& fn) {
   Run(fn.body, fn.params);
@@ -420,26 +434,16 @@ TypeFact ShapeInference::EvalCall(const ExprPtr& expr, const TypeEnv& env) {
                                                     : DTypeFact::kFloat32;
     return TypeFact::Tensor(dtype, shape);
   }
-  // Unary builtins whose result keeps the argument's dtype and shape.
-  static const std::set<std::string> kShapePreservingUnary = {
-      "tf.tanh",       "tf.sigmoid",        "tf.exp",     "tf.log",
-      "tf.sqrt",       "tf.square",         "tf.abs",     "tf.sin",
-      "tf.cos",        "tf.nn.relu",        "tf.nn.tanh", "tf.nn.sigmoid",
-      "tf.nn.softmax", "tf.nn.log_softmax"};
-  if (kShapePreservingUnary.count(name) > 0) {
+  const TypedBuiltins& typed = TypedTfBuiltins();
+  if (typed.shape_preserving_unary.count(name) > 0) {
     TypeFact a = arg(0);
     if (a.kind == TypeKind::kTensor) return a;
     return TypeFact::Tensor(DTypeFact::kTop, ShapeFact::Top());
   }
-  static const std::set<std::string> kElementwiseBinary = {
-      "tf.add",     "tf.subtract", "tf.multiply", "tf.divide",
-      "tf.maximum", "tf.minimum",  "tf.pow"};
-  if (kElementwiseBinary.count(name) > 0) {
+  if (typed.elementwise_binary.count(name) > 0) {
     return EvalBinaryOp(lang::BinaryOp::kAdd, arg(0), arg(1));
   }
-  static const std::set<std::string> kReductions = {
-      "tf.reduce_sum", "tf.reduce_mean", "tf.reduce_max", "tf.reduce_min"};
-  if (kReductions.count(name) > 0) {
+  if (typed.reductions.count(name) > 0) {
     TypeFact a = arg(0);
     DTypeFact dtype =
         a.kind == TypeKind::kTensor ? a.dtype : DTypeFact::kTop;

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,16 @@ struct TypeIssue {
   TypeFact after;               // then-branch / after-one-iteration fact
   const lang::Stmt* stmt;       // the offending if/while/for
 };
+
+// The `tf.*` builtins EvalCall types by a shared rule, by dotted name.
+// ag_analysis does not link ag_core, so tests/builtins_test.cc pins these
+// sets to core's builtin table rather than deriving them from it.
+struct TypedBuiltins {
+  std::set<std::string> shape_preserving_unary;  // argument's dtype, shape
+  std::set<std::string> elementwise_binary;      // typed like `+`
+  std::set<std::string> reductions;  // argument's dtype; scalar sans axis
+};
+[[nodiscard]] const TypedBuiltins& TypedTfBuiltins();
 
 class ShapeInference {
  public:

@@ -2,9 +2,11 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <span>
 #include <string>
 
 #include "autodiff/graph_grad.h"
+#include "core/builtins.h"
 #include "core/operators.h"
 #include "tensor/tensor_ops.h"
 
@@ -39,9 +41,6 @@ Tensor ValueToTensor(const Value& v, DType dtype) {
                                          : v.AsTensor().Cast(dtype);
   }
   if (v.IsNumber() || v.IsBool()) {
-    if (dtype == DType::kInt32 || (v.IsInt() && dtype != DType::kBool)) {
-      // Preserve integer-ness unless an explicit float dtype was given.
-    }
     return Tensor::Scalar(static_cast<float>(v.AsFloat()), dtype);
   }
   if (v.IsList() || v.IsTuple()) {
@@ -94,9 +93,9 @@ std::vector<int> ValueToPerm(const Value& v) {
   return perm;
 }
 
-// ---- generic eager/staged dispatch helpers for tf.* functions ----
-
-bool ShouldStage(Interpreter& in, const std::vector<Value>& args) {
+// True when a builtin over `args` emits a graph node rather than running
+// eagerly.
+bool ShouldStage(Interpreter& in, std::span<const Value> args) {
   if (in.staging()) return true;
   for (const Value& a : args) {
     if (a.IsGraphTensor()) return true;
@@ -104,81 +103,77 @@ bool ShouldStage(Interpreter& in, const std::vector<Value>& args) {
   return false;
 }
 
-bool ShouldStageLantern(Interpreter& in, const std::vector<Value>& args) {
-  if (!in.lantern_staging()) return false;
-  for (const Value& a : args) {
-    if (a.IsLantern()) return true;
-  }
-  // During Lantern tracing, all tensor math is staged (constants fold
-  // into Const bindings).
-  return in.lantern_staging();
-}
-
-Value LanternDispatch(Interpreter& in, const char* op,
-                      const std::vector<Value>& args) {
-  const lantern::LOp* lop = ops::LanternOpFor(op);
-  if (lop == nullptr) {
-    throw UnsupportedError(std::string("op '") + op +
-                           "' is not supported by the Lantern backend");
-  }
-  std::vector<lantern::SymPtr> ins;
-  ins.reserve(args.size());
-  for (const Value& a : args) ins.push_back(ops::ToLanternSym(in, a));
-  return Value(in.lantern_ctx()->builder.Emit(*lop, ins));
-}
-
-Value Dispatch1(Interpreter& in, const char* op, const Value& a,
-                Tensor (*eager)(const Tensor&)) {
-  if (ShouldStageLantern(in, {a})) return LanternDispatch(in, op, {a});
-  if (ShouldStage(in, {a})) {
-    return Value(Op(*in.graph_ctx(), op, {ops::ToGraphOutput(in, a)}));
-  }
-  return Value(eager(ops::ToEager(a)));
-}
-
-Value Dispatch2(Interpreter& in, const char* op, const Value& a,
-                const Value& b, Tensor (*eager)(const Tensor&,
-                                                const Tensor&)) {
-  if (ShouldStageLantern(in, {a, b})) return LanternDispatch(in, op, {a, b});
-  if (ShouldStage(in, {a, b})) {
-    return Value(Op(*in.graph_ctx(), op,
-                    {ops::ToGraphOutput(in, a), ops::ToGraphOutput(in, b)}));
-  }
-  return Value(eager(ops::ToEager(a), ops::ToEager(b)));
-}
-
-// Reduction with optional `axis` / `keepdims` kwargs.
-Value DispatchReduce(Interpreter& in, const char* op,
-                     const std::vector<Value>& args, const Kwargs& kwargs,
-                     Tensor (*eager)(const Tensor&, int, bool)) {
-  const Value& x = args[0];
-  if (ShouldStageLantern(in, {x})) {
-    if (std::string(op) == "ReduceSum" && args.size() == 1 &&
-        kwargs.empty()) {
-      return LanternDispatch(in, "ReduceSum", {x});
+// The one dispatcher behind every generic tf.* builtin: `name` is the
+// dotted name the user called, `row` the builtin-table row it names.
+Value CallBuiltin(Interpreter& in, const BuiltinDef& row,
+                  const std::string& name, const std::vector<Value>& args,
+                  const Kwargs& kwargs) {
+  const BuiltinKind kind = row.kind();
+  if (kind == BuiltinKind::kReduction) {
+    if (args.empty() || args.size() > 2) {
+      throw ValueError(name + "() expects 1 or 2 arguments, got " +
+                       std::to_string(args.size()));
     }
-    throw UnsupportedError(std::string("op '") + op +
-                           "' with axis arguments is not supported by the "
-                           "Lantern backend");
+  } else {
+    RequireArgs(args, kind == BuiltinKind::kUnary ? 1 : 2, name.c_str());
   }
+  // A reduction's tensor operand is its first argument; the rest is axis.
+  const std::span<const Value> operands =
+      kind == BuiltinKind::kReduction ? std::span(args).first(1)
+                                      : std::span(args);
+
+  // During Lantern tracing all tensor math is staged (constants fold into
+  // Const bindings).
+  if (in.lantern_staging()) {
+    if (!row.lop) {
+      throw UnsupportedError(std::string("op '") + row.op +
+                             "' is not supported by the Lantern backend");
+    }
+    if (kind == BuiltinKind::kReduction &&
+        (args.size() > 1 || !kwargs.empty())) {
+      throw UnsupportedError(std::string("op '") + row.op +
+                             "' with axis arguments is not supported by the "
+                             "Lantern backend");
+    }
+    std::vector<lantern::SymPtr> ins;
+    ins.reserve(operands.size());
+    for (const Value& a : operands) ins.push_back(ops::ToLanternSym(in, a));
+    return Value(in.lantern_ctx()->builder.Emit(*row.lop, ins));
+  }
+
   int axis = kAllAxes;
   bool keepdims = false;
-  if (args.size() > 1 && !args[1].IsNone()) {
-    axis = static_cast<int>(args[1].AsInt());
-  }
-  if (const Value* v = FindKwarg(kwargs, "axis"); v != nullptr) {
-    axis = static_cast<int>(v->AsInt());
-  }
-  if (const Value* v = FindKwarg(kwargs, "keepdims"); v != nullptr) {
-    keepdims = Truthy(*v);
-  }
-  if (ShouldStage(in, {x})) {
-    graph::AttrMap attrs{{"keepdims", static_cast<int64_t>(keepdims)}};
+  graph::AttrMap attrs;
+  if (kind == BuiltinKind::kReduction) {
+    if (args.size() > 1 && !args[1].IsNone()) {
+      axis = static_cast<int>(args[1].AsInt());
+    }
+    if (const Value* v = FindKwarg(kwargs, "axis"); v != nullptr) {
+      axis = static_cast<int>(v->AsInt());
+    }
+    if (const Value* v = FindKwarg(kwargs, "keepdims"); v != nullptr) {
+      keepdims = Truthy(*v);
+    }
+    attrs["keepdims"] = static_cast<int64_t>(keepdims);
     if (axis != kAllAxes) attrs["axis"] = static_cast<int64_t>(axis);
-    return Value(Op(*in.graph_ctx(), op, {ops::ToGraphOutput(in, x)},
-                    std::move(attrs)));
   }
-  return Value(eager(ops::ToEager(x), axis, keepdims));
+
+  if (ShouldStage(in, operands)) {
+    GraphContext& ctx = ops::RequireStaging(in, name.c_str());
+    std::vector<Output> ins;
+    ins.reserve(operands.size());
+    for (const Value& a : operands) ins.push_back(ops::ToGraphOutput(in, a));
+    return Value(Op(ctx, row.op, std::move(ins), std::move(attrs)));
+  }
+  if (kind == BuiltinKind::kUnary) {
+    return Value(std::get<UnaryFn>(row.eager)(ops::ToEager(args[0])));
+  }
+  if (kind == BuiltinKind::kBinary) {
+    return Value(std::get<BinaryFn>(row.eager)(ops::ToEager(args[0]),
+                                               ops::ToEager(args[1])));
+  }
+  return Value(
+      std::get<ReduceFn>(row.eager)(ops::ToEager(args[0]), axis, keepdims));
 }
 
 Value NativeV(const std::string& name,
@@ -233,124 +228,30 @@ Value BuildTfModule() {
     return Value(std::move(t));
   });
 
-  m["matmul"] = NativeV("tf.matmul", [](Interpreter& in,
-                                        std::vector<Value>& args, Kwargs&) {
-    RequireArgs(args, 2, "tf.matmul");
-    return Dispatch2(in, "MatMul", args[0], args[1], &MatMul);
-  });
-  m["add"] = NativeV("tf.add", [](Interpreter& in, std::vector<Value>& args,
-                                  Kwargs&) {
-    RequireArgs(args, 2, "tf.add");
-    return Dispatch2(in, "Add", args[0], args[1], &Add);
-  });
-  m["subtract"] = NativeV("tf.subtract", [](Interpreter& in,
-                                            std::vector<Value>& args,
-                                            Kwargs&) {
-    RequireArgs(args, 2, "tf.subtract");
-    return Dispatch2(in, "Sub", args[0], args[1], &Sub);
-  });
-  m["multiply"] = NativeV("tf.multiply", [](Interpreter& in,
-                                            std::vector<Value>& args,
-                                            Kwargs&) {
-    RequireArgs(args, 2, "tf.multiply");
-    return Dispatch2(in, "Mul", args[0], args[1], &Mul);
-  });
-  m["divide"] = NativeV("tf.divide", [](Interpreter& in,
-                                        std::vector<Value>& args, Kwargs&) {
-    RequireArgs(args, 2, "tf.divide");
-    return Dispatch2(in, "Div", args[0], args[1], &Div);
-  });
-  m["maximum"] = NativeV("tf.maximum", [](Interpreter& in,
-                                          std::vector<Value>& args,
-                                          Kwargs&) {
-    RequireArgs(args, 2, "tf.maximum");
-    return Dispatch2(in, "Maximum", args[0], args[1], &Maximum);
-  });
-  m["minimum"] = NativeV("tf.minimum", [](Interpreter& in,
-                                          std::vector<Value>& args,
-                                          Kwargs&) {
-    RequireArgs(args, 2, "tf.minimum");
-    return Dispatch2(in, "Minimum", args[0], args[1], &Minimum);
-  });
-  m["pow"] = NativeV("tf.pow", [](Interpreter& in, std::vector<Value>& args,
-                                  Kwargs&) {
-    RequireArgs(args, 2, "tf.pow");
-    return Dispatch2(in, "Pow", args[0], args[1], &Pow);
-  });
-
-  m["tanh"] = NativeV("tf.tanh", [](Interpreter& in,
-                                    std::vector<Value>& args, Kwargs&) {
-    RequireArgs(args, 1, "tf.tanh");
-    return Dispatch1(in, "Tanh", args[0], &Tanh);
-  });
-  m["sigmoid"] = NativeV("tf.sigmoid", [](Interpreter& in,
-                                          std::vector<Value>& args,
-                                          Kwargs&) {
-    RequireArgs(args, 1, "tf.sigmoid");
-    return Dispatch1(in, "Sigmoid", args[0], &Sigmoid);
-  });
-  m["exp"] = NativeV("tf.exp", [](Interpreter& in, std::vector<Value>& args,
-                                  Kwargs&) {
-    RequireArgs(args, 1, "tf.exp");
-    return Dispatch1(in, "Exp", args[0], &Exp);
-  });
-  m["log"] = NativeV("tf.log", [](Interpreter& in, std::vector<Value>& args,
-                                  Kwargs&) {
-    RequireArgs(args, 1, "tf.log");
-    return Dispatch1(in, "Log", args[0], &Log);
-  });
-  m["sqrt"] = NativeV("tf.sqrt", [](Interpreter& in,
-                                    std::vector<Value>& args, Kwargs&) {
-    RequireArgs(args, 1, "tf.sqrt");
-    return Dispatch1(in, "Sqrt", args[0], &Sqrt);
-  });
-  m["square"] = NativeV("tf.square", [](Interpreter& in,
-                                        std::vector<Value>& args, Kwargs&) {
-    RequireArgs(args, 1, "tf.square");
-    return Dispatch1(in, "Square", args[0], &Square);
-  });
-  m["abs"] = NativeV("tf.abs", [](Interpreter& in, std::vector<Value>& args,
-                                  Kwargs&) {
-    RequireArgs(args, 1, "tf.abs");
-    return Dispatch1(in, "Abs", args[0], &Abs);
-  });
-  m["sin"] = NativeV("tf.sin", [](Interpreter& in, std::vector<Value>& args,
-                                  Kwargs&) {
-    RequireArgs(args, 1, "tf.sin");
-    return Dispatch1(in, "Sin", args[0], &Sin);
-  });
-  m["cos"] = NativeV("tf.cos", [](Interpreter& in, std::vector<Value>& args,
-                                  Kwargs&) {
-    RequireArgs(args, 1, "tf.cos");
-    return Dispatch1(in, "Cos", args[0], &Cos);
-  });
-
-  m["reduce_sum"] = NativeV("tf.reduce_sum", [](Interpreter& in,
-                                                std::vector<Value>& args,
-                                                Kwargs& kwargs) {
-    return DispatchReduce(in, "ReduceSum", args, kwargs, &ReduceSum);
-  });
-  m["reduce_mean"] = NativeV("tf.reduce_mean", [](Interpreter& in,
-                                                  std::vector<Value>& args,
-                                                  Kwargs& kwargs) {
-    return DispatchReduce(in, "ReduceMean", args, kwargs, &ReduceMean);
-  });
-  m["reduce_max"] = NativeV("tf.reduce_max", [](Interpreter& in,
-                                                std::vector<Value>& args,
-                                                Kwargs& kwargs) {
-    return DispatchReduce(in, "ReduceMax", args, kwargs, &ReduceMax);
-  });
-  m["reduce_min"] = NativeV("tf.reduce_min", [](Interpreter& in,
-                                                std::vector<Value>& args,
-                                                Kwargs& kwargs) {
-    return DispatchReduce(in, "ReduceMin", args, kwargs, &ReduceMin);
-  });
+  // Generic builtins: one native per tf name of each builtin-table row,
+  // named as the user calls it.
+  auto nn = std::make_shared<ObjectValue>();
+  nn->type_name = "module 'tf.nn'";
+  for (const BuiltinDef& row : BuiltinTable()) {
+    for (std::string_view tf_name : row.tf_names) {
+      if (tf_name.empty()) continue;
+      const bool in_nn = tf_name.starts_with("nn.");
+      std::string name = "tf." + std::string(tf_name);
+      (in_nn ? nn->attrs : m)[std::string(tf_name.substr(in_nn ? 3 : 0))] =
+          NativeV(name, [&row, name](Interpreter& in,
+                                     std::vector<Value>& args,
+                                     Kwargs& kwargs) {
+            return CallBuiltin(in, row, name, args, kwargs);
+          });
+    }
+  }
+  m["nn"] = Value(std::move(nn));
 
   m["argmax"] = NativeV("tf.argmax", [](Interpreter& in,
                                         std::vector<Value>& args, Kwargs&) {
     RequireArgs(args, 2, "tf.argmax");
     const auto axis = static_cast<int64_t>(args[1].AsInt());
-    if (ShouldStage(in, {args[0]})) {
+    if (ShouldStage(in, args)) {
       return Value(Op(*in.graph_ctx(), "ArgMax",
                       {ops::ToGraphOutput(in, args[0])}, {{"axis", axis}}));
     }
@@ -362,7 +263,7 @@ Value BuildTfModule() {
                                               Kwargs&) {
     RequireArgs(args, 2, "tf.transpose");
     std::vector<int> perm = ValueToPerm(args[1]);
-    if (ShouldStage(in, {args[0]})) {
+    if (ShouldStage(in, args)) {
       return Value(Op(*in.graph_ctx(), "Transpose",
                       {ops::ToGraphOutput(in, args[0])}, {{"perm", perm}}));
     }
@@ -380,7 +281,7 @@ Value BuildTfModule() {
       return Value(in.lantern_ctx()->builder.EmitReshape(
           ops::ToLanternSym(in, args[0]), std::move(dims)));
     }
-    if (ShouldStage(in, {args[0]})) {
+    if (ShouldStage(in, args)) {
       std::vector<int> dims;
       for (int64_t d : shape.dims()) dims.push_back(static_cast<int>(d));
       return Value(Op(*in.graph_ctx(), "Reshape",
@@ -394,7 +295,7 @@ Value BuildTfModule() {
                                                   Kwargs&) {
     RequireArgs(args, 2, "tf.expand_dims");
     const auto axis = static_cast<int64_t>(args[1].AsInt());
-    if (ShouldStage(in, {args[0]})) {
+    if (ShouldStage(in, args)) {
       return Value(Op(*in.graph_ctx(), "ExpandDims",
                       {ops::ToGraphOutput(in, args[0])}, {{"axis", axis}}));
     }
@@ -409,7 +310,7 @@ Value BuildTfModule() {
   m["shape"] = NativeV("tf.shape", [](Interpreter& in,
                                       std::vector<Value>& args, Kwargs&) {
     RequireArgs(args, 1, "tf.shape");
-    if (ShouldStage(in, {args[0]})) {
+    if (ShouldStage(in, args)) {
       return Value(Op(*in.graph_ctx(), "Shape",
                       {ops::ToGraphOutput(in, args[0])}));
     }
@@ -423,7 +324,7 @@ Value BuildTfModule() {
   m["range"] = NativeV("tf.range", [](Interpreter& in,
                                       std::vector<Value>& args, Kwargs&) {
     RequireArgs(args, 1, "tf.range");
-    if (ShouldStage(in, {args[0]})) {
+    if (ShouldStage(in, args)) {
       return Value(Op(*in.graph_ctx(), "Range",
                       {ops::ToGraphOutput(in, args[0], DType::kInt32)}));
     }
@@ -434,7 +335,7 @@ Value BuildTfModule() {
   m["where"] = NativeV("tf.where", [](Interpreter& in,
                                       std::vector<Value>& args, Kwargs&) {
     RequireArgs(args, 3, "tf.where");
-    if (ShouldStage(in, {args[0], args[1], args[2]})) {
+    if (ShouldStage(in, args)) {
       return Value(Op(*in.graph_ctx(), "Where",
                       {ops::ToGraphOutput(in, args[0]),
                        ops::ToGraphOutput(in, args[1]),
@@ -451,13 +352,16 @@ Value BuildTfModule() {
                                          ? *args[0].AsList()
                                          : args[0].AsTuple()->elts;
     const auto axis = static_cast<int64_t>(args[1].AsInt());
-    if (ShouldStageLantern(in, elts)) {
+    if (in.lantern_staging()) {
       if (elts.size() != 2 || axis != 0) {
         throw UnsupportedError(
             "the Lantern backend supports tf.concat of exactly two values "
             "along axis 0");
       }
-      return LanternDispatch(in, "Concat0", {elts[0], elts[1]});
+      lantern::SymPtr a = ops::ToLanternSym(in, elts[0]);
+      lantern::SymPtr b = ops::ToLanternSym(in, elts[1]);
+      return Value(
+          in.lantern_ctx()->builder.Emit(lantern::LOp::kConcat0, {a, b}));
     }
     bool staged = in.staging();
     for (const Value& e : elts) staged = staged || e.IsGraphTensor();
@@ -482,7 +386,7 @@ Value BuildTfModule() {
                                     std::vector<Value>& args, Kwargs&) {
     RequireArgs(args, 2, "tf.cast");
     DType dtype = args[1].AsDType();
-    if (ShouldStage(in, {args[0]})) {
+    if (ShouldStage(in, args)) {
       return Value(Op(*in.graph_ctx(), "Cast",
                       {ops::ToGraphOutput(in, args[0])},
                       {{"dtype", dtype}}));
@@ -495,7 +399,7 @@ Value BuildTfModule() {
                                           Kwargs&) {
     RequireArgs(args, 2, "tf.one_hot");
     const int64_t depth = args[1].AsInt();
-    if (ShouldStage(in, {args[0]})) {
+    if (ShouldStage(in, args)) {
       return Value(Op(*in.graph_ctx(), "OneHot",
                       {ops::ToGraphOutput(in, args[0])},
                       {{"depth", depth}}));
@@ -515,7 +419,7 @@ Value BuildTfModule() {
       return Value(in.lantern_ctx()->builder.EmitSlice0(
           ops::ToLanternSym(in, args[0]), start, len));
     }
-    if (ShouldStage(in, {args[0]})) {
+    if (ShouldStage(in, args)) {
       return Value(Op(*in.graph_ctx(), "SliceRows",
                       {ops::ToGraphOutput(in, args[0])},
                       {{"start", static_cast<int64_t>(start)},
@@ -529,47 +433,6 @@ Value BuildTfModule() {
     dims[0] = len;
     return Value(Tensor::FromVector(std::move(out), Shape(std::move(dims)),
                                     x.dtype()));
-  });
-
-  m["gather"] = NativeV("tf.gather", [](Interpreter& in,
-                                        std::vector<Value>& args, Kwargs&) {
-    RequireArgs(args, 2, "tf.gather");
-    return Dispatch2(in, "Gather", args[0], args[1], &Gather);
-  });
-
-  m["equal"] = NativeV("tf.equal", [](Interpreter& in,
-                                      std::vector<Value>& args, Kwargs&) {
-    RequireArgs(args, 2, "tf.equal");
-    return Dispatch2(in, "Equal", args[0], args[1], &Equal);
-  });
-  m["less"] = NativeV("tf.less", [](Interpreter& in,
-                                    std::vector<Value>& args, Kwargs&) {
-    RequireArgs(args, 2, "tf.less");
-    return Dispatch2(in, "Less", args[0], args[1], &Less);
-  });
-  m["greater"] = NativeV("tf.greater", [](Interpreter& in,
-                                          std::vector<Value>& args,
-                                          Kwargs&) {
-    RequireArgs(args, 2, "tf.greater");
-    return Dispatch2(in, "Greater", args[0], args[1], &Greater);
-  });
-  m["logical_and"] = NativeV("tf.logical_and", [](Interpreter& in,
-                                                  std::vector<Value>& args,
-                                                  Kwargs&) {
-    RequireArgs(args, 2, "tf.logical_and");
-    return Dispatch2(in, "LogicalAnd", args[0], args[1], &LogicalAnd);
-  });
-  m["logical_or"] = NativeV("tf.logical_or", [](Interpreter& in,
-                                                std::vector<Value>& args,
-                                                Kwargs&) {
-    RequireArgs(args, 2, "tf.logical_or");
-    return Dispatch2(in, "LogicalOr", args[0], args[1], &LogicalOr);
-  });
-  m["logical_not"] = NativeV("tf.logical_not", [](Interpreter& in,
-                                                  std::vector<Value>& args,
-                                                  Kwargs&) {
-    RequireArgs(args, 1, "tf.logical_not");
-    return Dispatch1(in, "LogicalNot", args[0], &LogicalNot);
   });
 
   m["print"] = NativeV("tf.print", [](Interpreter& in,
@@ -598,38 +461,6 @@ Value BuildTfModule() {
     return MakeList(std::move(out));
   });
 
-  // tf.nn submodule.
-  auto nn = std::make_shared<ObjectValue>();
-  nn->type_name = "module 'tf.nn'";
-  nn->attrs["relu"] = NativeV("tf.nn.relu", [](Interpreter& in,
-                                               std::vector<Value>& args,
-                                               Kwargs&) {
-    RequireArgs(args, 1, "tf.nn.relu");
-    return Dispatch1(in, "Relu", args[0], &Relu);
-  });
-  nn->attrs["tanh"] = m["tanh"];
-  nn->attrs["sigmoid"] = m["sigmoid"];
-  nn->attrs["softmax"] = NativeV("tf.nn.softmax", [](Interpreter& in,
-                                                     std::vector<Value>& args,
-                                                     Kwargs&) {
-    RequireArgs(args, 1, "tf.nn.softmax");
-    return Dispatch1(in, "Softmax", args[0], &Softmax);
-  });
-  nn->attrs["log_softmax"] = NativeV(
-      "tf.nn.log_softmax",
-      [](Interpreter& in, std::vector<Value>& args, Kwargs&) {
-        RequireArgs(args, 1, "tf.nn.log_softmax");
-        return Dispatch1(in, "LogSoftmax", args[0], &LogSoftmax);
-      });
-  nn->attrs["softmax_cross_entropy"] = NativeV(
-      "tf.nn.softmax_cross_entropy",
-      [](Interpreter& in, std::vector<Value>& args, Kwargs&) {
-        RequireArgs(args, 2, "tf.nn.softmax_cross_entropy");
-        return Dispatch2(in, "SoftmaxCrossEntropy", args[0], args[1],
-                         &SoftmaxCrossEntropy);
-      });
-  m["nn"] = Value(std::move(nn));
-
   // tf.math submodule.
   auto math = std::make_shared<ObjectValue>();
   math->type_name = "module 'tf.math'";
@@ -638,7 +469,7 @@ Value BuildTfModule() {
                                                      Kwargs&) {
     RequireArgs(args, 2, "tf.math.top_k");
     const int64_t k = args[1].AsInt();
-    if (ShouldStage(in, {args[0]})) {
+    if (ShouldStage(in, args)) {
       std::vector<Output> outs =
           OpN(*in.graph_ctx(), "TopK", {ops::ToGraphOutput(in, args[0])},
               {{"k", k}}, 2);

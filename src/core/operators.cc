@@ -3,6 +3,7 @@
 #include <cmath>
 #include <iostream>
 
+#include "core/builtins.h"
 #include "obs/trace.h"
 #include "tensor/tensor_ops.h"
 
@@ -13,8 +14,6 @@ using graph::Op;
 using graph::OpN;
 using graph::Output;
 
-namespace {
-
 GraphContext& RequireStaging(Interpreter& in, const char* what) {
   if (!in.staging()) {
     throw StagingError(std::string(what) +
@@ -24,19 +23,12 @@ GraphContext& RequireStaging(Interpreter& in, const char* what) {
   return *in.graph_ctx();
 }
 
+namespace {
+
 [[nodiscard]] bool IsStagedList(const Value& v) {
   if (!v.IsGraphTensor()) return false;
   const Output& o = v.AsGraphTensor();
   return o.node->output_is_list(o.index);
-}
-
-Tensor ToEagerTensor(const Value& v) {
-  if (v.IsTensor()) return v.AsTensor();
-  if (v.IsInt()) return Tensor::ScalarInt(v.AsInt());
-  if (v.IsBool()) return Tensor::ScalarBool(v.AsBool());
-  if (v.IsFloat()) return Tensor::Scalar(static_cast<float>(v.AsFloat()));
-  throw ValueError(std::string("cannot use ") + v.TypeName() +
-                   " as a tensor operand: " + v.Repr());
 }
 
 DType GraphDType(const Value& v) {
@@ -94,7 +86,14 @@ Value CallThunk(Interpreter& in, const Value& thunk) {
   return in.CallCallable(thunk, {});
 }
 
-Tensor ToEager(const Value& v) { return ToEagerTensor(v); }
+Tensor ToEager(const Value& v) {
+  if (v.IsTensor()) return v.AsTensor();
+  if (v.IsInt()) return Tensor::ScalarInt(v.AsInt());
+  if (v.IsBool()) return Tensor::ScalarBool(v.AsBool());
+  if (v.IsFloat()) return Tensor::Scalar(static_cast<float>(v.AsFloat()));
+  throw ValueError(std::string("cannot use ") + v.TypeName() +
+                   " as a tensor operand: " + v.Repr());
+}
 
 bool IsStagedListValue(const Value& v) { return IsStagedList(v); }
 
@@ -120,7 +119,7 @@ lantern::SymPtr ToLanternSym(Interpreter& in, const Value& v) {
   if (v.IsLantern()) return v.AsLantern();
   if (v.IsTensor()) return ctx.builder.EmitConst(v.AsTensor());
   if (v.IsNumber() || v.IsBool()) {
-    return ctx.builder.EmitConst(ToEagerTensor(v));
+    return ctx.builder.EmitConst(ToEager(v));
   }
   if (v.IsUndefined()) {
     throw StagingError(
@@ -129,24 +128,6 @@ lantern::SymPtr ToLanternSym(Interpreter& in, const Value& v) {
   }
   throw StagingError(std::string("value of type ") + v.TypeName() +
                      " cannot be staged into the Lantern IR");
-}
-
-const lantern::LOp* LanternOpFor(const std::string& graph_op) {
-  static const auto* kMap = new std::map<std::string, lantern::LOp>{
-      {"Add", lantern::LOp::kAdd},       {"Sub", lantern::LOp::kSub},
-      {"Mul", lantern::LOp::kMul},       {"Div", lantern::LOp::kDiv},
-      {"Neg", lantern::LOp::kNeg},       {"Tanh", lantern::LOp::kTanh},
-      {"Sigmoid", lantern::LOp::kSigmoid}, {"Relu", lantern::LOp::kRelu},
-      {"Exp", lantern::LOp::kExp},       {"Log", lantern::LOp::kLog},
-      {"Square", lantern::LOp::kSquare}, {"MatMul", lantern::LOp::kMatMul},
-      {"Gather", lantern::LOp::kGather},
-      {"Greater", lantern::LOp::kGreater}, {"Less", lantern::LOp::kLess},
-      {"Equal", lantern::LOp::kEq},      {"LogicalNot", lantern::LOp::kNot},
-      {"ReduceSum", lantern::LOp::kReduceSum},
-      {"Concat0", lantern::LOp::kConcat0},
-  };
-  auto it = kMap->find(graph_op);
-  return it == kMap->end() ? nullptr : &it->second;
 }
 
 Value LanternTreeAttr(Interpreter& in, const Value& tree,
@@ -176,42 +157,28 @@ Value LanternTreeAttr(Interpreter& in, const Value& tree,
 
 namespace {
 
-// Binary / comparison emission with operator composition for ops the IR
-// lacks natively (>=, <=, !=).
-Value LanternBinary(Interpreter& in, lang::BinaryOp op, const Value& a,
-                    const Value& b) {
+// Binary / comparison emission. The row gives the op; the IR lacks >=,
+// <= and !=, so those are composed from <, > and ==.
+Value LanternBinary(Interpreter& in, lang::BinaryOp op, const BuiltinDef& row,
+                    const Value& a, const Value& b) {
   LanternContext& ctx = RequireLantern(in, "binary op");
   lantern::SymPtr sa = ToLanternSym(in, a);
   lantern::SymPtr sb = ToLanternSym(in, b);
-  switch (op) {
-    case lang::BinaryOp::kAdd:
-      return Value(ctx.builder.Emit(lantern::LOp::kAdd, {sa, sb}));
-    case lang::BinaryOp::kSub:
-      return Value(ctx.builder.Emit(lantern::LOp::kSub, {sa, sb}));
-    case lang::BinaryOp::kMul:
-      return Value(ctx.builder.Emit(lantern::LOp::kMul, {sa, sb}));
-    case lang::BinaryOp::kDiv:
-      return Value(ctx.builder.Emit(lantern::LOp::kDiv, {sa, sb}));
-    default:
-      throw UnsupportedError(
-          std::string("operator ") + lang::BinaryOpSymbol(op) +
-          " is not supported by the Lantern backend");
+  if (!row.lop) {
+    throw UnsupportedError(std::string("operator ") +
+                           lang::BinaryOpSymbol(op) +
+                           " is not supported by the Lantern backend");
   }
+  return Value(ctx.builder.Emit(*row.lop, {sa, sb}));
 }
 
-Value LanternCompare(Interpreter& in, lang::CompareOp op, const Value& a,
-                     const Value& b) {
+Value LanternCompare(Interpreter& in, lang::CompareOp op,
+                     const BuiltinDef& row, const Value& a, const Value& b) {
   LanternContext& ctx = RequireLantern(in, "comparison");
   lantern::SymPtr sa = ToLanternSym(in, a);
   lantern::SymPtr sb = ToLanternSym(in, b);
   auto& B = ctx.builder;
   switch (op) {
-    case lang::CompareOp::kGt:
-      return Value(B.Emit(lantern::LOp::kGreater, {sa, sb}));
-    case lang::CompareOp::kLt:
-      return Value(B.Emit(lantern::LOp::kLess, {sa, sb}));
-    case lang::CompareOp::kEq:
-      return Value(B.Emit(lantern::LOp::kEq, {sa, sb}));
     case lang::CompareOp::kNe:
       return Value(B.Emit(lantern::LOp::kNot,
                           {B.Emit(lantern::LOp::kEq, {sa, sb})}));
@@ -222,8 +189,7 @@ Value LanternCompare(Interpreter& in, lang::CompareOp op, const Value& a,
       return Value(B.Emit(lantern::LOp::kNot,
                           {B.Emit(lantern::LOp::kGreater, {sa, sb})}));
     default:
-      throw UnsupportedError(
-          "this comparison is not supported by the Lantern backend");
+      return Value(B.Emit(*row.lop, {sa, sb}));
   }
 }
 
@@ -421,52 +387,23 @@ Value RebuildFromOutputs(const std::vector<Output>& outs, bool was_tuple) {
 // Operator overloading layer
 // ---------------------------------------------------------------------
 
-namespace {
-
-const char* BinaryOpName(lang::BinaryOp op) {
-  switch (op) {
-    case lang::BinaryOp::kAdd: return "Add";
-    case lang::BinaryOp::kSub: return "Sub";
-    case lang::BinaryOp::kMul: return "Mul";
-    case lang::BinaryOp::kDiv: return "Div";
-    case lang::BinaryOp::kFloorDiv: return "FloorDiv";
-    case lang::BinaryOp::kMod: return "Mod";
-    case lang::BinaryOp::kPow: return "Pow";
-  }
-  return "?";
-}
-
-Tensor EagerBinary(lang::BinaryOp op, const Tensor& a, const Tensor& b) {
-  switch (op) {
-    case lang::BinaryOp::kAdd: return ag::Add(a, b);
-    case lang::BinaryOp::kSub: return ag::Sub(a, b);
-    case lang::BinaryOp::kMul: return ag::Mul(a, b);
-    case lang::BinaryOp::kDiv: return ag::Div(a, b);
-    case lang::BinaryOp::kFloorDiv: return ag::FloorDiv(a, b);
-    case lang::BinaryOp::kMod: return ag::Mod(a, b);
-    case lang::BinaryOp::kPow: return ag::Pow(a, b);
-  }
-  throw InternalError("EagerBinary: bad op");
-}
-
-}  // namespace
-
 Value Binary(Interpreter& in, lang::BinaryOp op, const Value& a,
              const Value& b) {
+  const BuiltinDef& row = BinaryOpRow(op);
   if (a.IsLantern() || b.IsLantern()) {
-    return LanternBinary(in, op, a, b);
+    return LanternBinary(in, op, row, a, b);
   }
   // Staged: any symbolic operand turns the op into a graph node.
   if (a.IsGraphTensor() || b.IsGraphTensor()) {
     const DType pref = a.IsGraphTensor() ? GraphDType(a) : GraphDType(b);
     GraphContext& ctx = RequireStaging(in, "binary op");
-    return Value(Op(ctx, BinaryOpName(op),
+    return Value(Op(ctx, row.op,
                     {ToGraphOutput(in, a, pref), ToGraphOutput(in, b, pref)}));
   }
   // Eager tensor path.
   if (a.IsTensor() || b.IsTensor()) {
-    obs::TraceScope scope(obs::CurrentTracer(), BinaryOpName(op), "eager");
-    return Value(EagerBinary(op, ToEagerTensor(a), ToEagerTensor(b)));
+    obs::TraceScope scope(obs::CurrentTracer(), row.op, "eager");
+    return Value(std::get<BinaryFn>(row.eager)(ToEager(a), ToEager(b)));
   }
   // Plain Python semantics.
   if (a.IsStr() || b.IsStr()) {
@@ -541,41 +478,21 @@ Value Compare(Interpreter& in, lang::CompareOp op, const Value& a,
     return Value(op == lang::CompareOp::kIn ? found : !found);
   }
 
+  const BuiltinDef& row = *CompareOpRow(op);
   if (a.IsLantern() || b.IsLantern()) {
-    return LanternCompare(in, op, a, b);
+    return LanternCompare(in, op, row, a, b);
   }
-
-  const char* name = nullptr;
-  switch (op) {
-    case lang::CompareOp::kLt: name = "Less"; break;
-    case lang::CompareOp::kLe: name = "LessEqual"; break;
-    case lang::CompareOp::kGt: name = "Greater"; break;
-    case lang::CompareOp::kGe: name = "GreaterEqual"; break;
-    case lang::CompareOp::kEq: name = "Equal"; break;
-    case lang::CompareOp::kNe: name = "NotEqual"; break;
-    default: break;
-  }
-
   if (a.IsGraphTensor() || b.IsGraphTensor()) {
     const DType pref = a.IsGraphTensor() ? GraphDType(a) : GraphDType(b);
     GraphContext& ctx = RequireStaging(in, "comparison");
-    return Value(Op(ctx, name,
+    return Value(Op(ctx, row.op,
                     {ToGraphOutput(in, a, pref), ToGraphOutput(in, b, pref)}));
   }
   if (a.IsTensor() || b.IsTensor()) {
-    obs::TraceScope scope(obs::CurrentTracer(),
-                          name != nullptr ? name : "Compare", "eager");
-    const Tensor ta = ToEagerTensor(a);
-    const Tensor tb = ToEagerTensor(b);
-    switch (op) {
-      case lang::CompareOp::kLt: return Value(ag::Less(ta, tb));
-      case lang::CompareOp::kLe: return Value(ag::LessEqual(ta, tb));
-      case lang::CompareOp::kGt: return Value(ag::Greater(ta, tb));
-      case lang::CompareOp::kGe: return Value(ag::GreaterEqual(ta, tb));
-      case lang::CompareOp::kEq: return Value(ag::Equal(ta, tb));
-      case lang::CompareOp::kNe: return Value(ag::NotEqual(ta, tb));
-      default: break;
-    }
+    obs::TraceScope scope(obs::CurrentTracer(), row.op, "eager");
+    const Tensor ta = ToEager(a);
+    const Tensor tb = ToEager(b);
+    return Value(std::get<BinaryFn>(row.eager)(ta, tb));
   }
   // Plain Python comparison.
   if (op == lang::CompareOp::kEq) return Value(PyEquals(a, b));
@@ -605,17 +522,17 @@ Value Compare(Interpreter& in, lang::CompareOp op, const Value& a,
 }
 
 Value Negate(Interpreter& in, const Value& a) {
+  const BuiltinDef& row = NegateRow();
   if (a.IsLantern()) {
-    return Value(in.lantern_ctx()->builder.Emit(lantern::LOp::kNeg,
-                                                {a.AsLantern()}));
+    return Value(in.lantern_ctx()->builder.Emit(*row.lop, {a.AsLantern()}));
   }
   if (a.IsGraphTensor()) {
     GraphContext& ctx = RequireStaging(in, "negation");
-    return Value(Op(ctx, "Neg", {ToGraphOutput(in, a)}));
+    return Value(Op(ctx, row.op, {ToGraphOutput(in, a)}));
   }
   if (a.IsTensor()) {
-    obs::TraceScope scope(obs::CurrentTracer(), "Neg", "eager");
-    return Value(ag::Neg(a.AsTensor()));
+    obs::TraceScope scope(obs::CurrentTracer(), row.op, "eager");
+    return Value(std::get<UnaryFn>(row.eager)(a.AsTensor()));
   }
   if (a.IsInt() || a.IsBool()) return Value(-a.AsInt());
   if (a.IsFloat()) return Value(-a.AsFloat());
@@ -682,7 +599,7 @@ Value SetItem(Interpreter& in, const Value& obj, const Value& index,
   if (obj.IsTensor()) {
     int64_t i = index.IsTensor() ? index.AsTensor().scalar_int()
                                  : index.AsInt();
-    return Value(SetItemAxis0(obj.AsTensor(), i, ToEagerTensor(value)));
+    return Value(SetItemAxis0(obj.AsTensor(), i, ToEager(value)));
   }
   if (obj.IsList()) {
     auto& elts = *obj.AsList();
@@ -1098,7 +1015,7 @@ Value StackList(Interpreter& in, const Value& list) {
     }
     std::vector<Tensor> tensors;
     tensors.reserve(elts.size());
-    for (const Value& e : elts) tensors.push_back(ToEagerTensor(e));
+    for (const Value& e : elts) tensors.push_back(ToEager(e));
     return Value(Stack(tensors));
   }
   throw ValueError(std::string("cannot stack value of type ") +

@@ -64,6 +64,10 @@ namespace ag::core::ops {
 [[nodiscard]] Value Range(Interpreter& in, std::vector<Value>& args);
 
 // ---- staging helpers ----
+// The graph under construction; throws Error(kStaging) naming `what`
+// when a symbolic tensor reaches code running outside graph construction.
+[[nodiscard]] graph::GraphContext& RequireStaging(Interpreter& in,
+                                                  const char* what);
 // Promotes a value to a graph endpoint in the current graph (Const for
 // eager tensors / numbers / bools). Throws Error(kStaging) if the value
 // cannot be staged (functions, objects, Undefined, ...).
@@ -89,8 +93,6 @@ namespace ag::core::ops {
 // ---- Lantern staging helpers (paper §8) ----
 // Promotes a value to a Lantern symbol (constants for concrete values).
 [[nodiscard]] lantern::SymPtr ToLanternSym(Interpreter& in, const Value& v);
-// Maps a graph op-type name to a Lantern op when the backend supports it.
-[[nodiscard]] const lantern::LOp* LanternOpFor(const std::string& graph_op);
 // Staged tree accessors: tree.is_empty / left / right / value / label.
 [[nodiscard]] Value LanternTreeAttr(Interpreter& in, const Value& tree,
                                     const std::string& attr);

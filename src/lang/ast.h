@@ -2,8 +2,9 @@
 //
 // Nodes are held by shared_ptr. Analyses attach annotations keyed by node
 // pointer identity, so transforms that *replace* nodes must re-run the
-// analyses (the pass manager does this, mirroring AutoGraph, where "each
-// pass [consists] of static analysis [then] AST transformations").
+// analyses (each conversion pass analyzes its own input, mirroring
+// AutoGraph, where "each pass [consists] of static analysis [then] AST
+// transformations").
 //
 // Every node carries two locations:
 //   - `loc`: where the node sits in the text it was parsed from;

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <iostream>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 
 namespace ag {
 
@@ -97,6 +100,46 @@ bool IsIdentifier(std::string_view s) {
   return std::all_of(s.begin() + 1, s.end(), [](char c) {
     return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
   });
+}
+
+bool ParseIntFlag(std::string_view tool, std::string_view flag,
+                  std::string_view text, int64_t min_value, int64_t* out) {
+  const char* first = text.data();
+  const char* last = text.data() + text.size();
+  int64_t value = 0;
+  auto [ptr, ec] = std::from_chars(first, last, value);
+  if (ec != std::errc() || ptr != last || text.empty() ||
+      value < min_value) {
+    std::cerr << tool << ": " << flag << " expects an integer >= "
+              << min_value << ", got '" << text << "'\n";
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+bool ParseFeeds(std::string_view tool, const std::string& spec,
+                std::vector<float>* out) {
+  out->clear();
+  std::stringstream ss(spec);
+  std::string item;
+  while (std::getline(ss, item, ',')) {
+    try {
+      size_t consumed = 0;
+      const float value = std::stof(item, &consumed);
+      if (consumed != item.size()) throw std::invalid_argument(item);
+      out->push_back(value);
+    } catch (const std::exception&) {
+      std::cerr << tool << ": --feeds expects comma-separated floats, got '"
+                << item << "'\n";
+      return false;
+    }
+  }
+  if (out->empty()) {
+    std::cerr << tool << ": --feeds given but no values parsed\n";
+    return false;
+  }
+  return true;
 }
 
 }  // namespace ag

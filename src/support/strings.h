@@ -1,6 +1,7 @@
 // Small string utilities shared across the library.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,5 +32,19 @@ namespace ag {
 
 // True if `s` is a valid PyMini identifier.
 [[nodiscard]] bool IsIdentifier(std::string_view s);
+
+// Command-line flag parsers shared by the tools. On bad input they print
+// one usage line prefixed "<tool>: " to stderr and return false; the
+// tool then exits with its usage status.
+//
+// Strict integer: the whole of `text` must be a decimal integer
+// >= `min_value` (std::stoi would throw on "abc" and accept "10x").
+[[nodiscard]] bool ParseIntFlag(std::string_view tool, std::string_view flag,
+                                std::string_view text, int64_t min_value,
+                                int64_t* out);
+// Comma-separated floats, "1.0,2.5" -> {1.0f, 2.5f}; rejects a malformed
+// or empty item and an empty list.
+[[nodiscard]] bool ParseFeeds(std::string_view tool, const std::string& spec,
+                              std::vector<float>* out);
 
 }  // namespace ag

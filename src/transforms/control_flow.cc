@@ -9,7 +9,7 @@
 // The analyses are computed once per function body, before any rewriting;
 // compound statement nodes are mutated in place (bodies first, bottom-up),
 // so the per-node annotations stay valid for the statements still being
-// processed — the same snapshot discipline AutoGraph's pass manager uses.
+// processed — AutoGraph's analyze-then-transform discipline per pass.
 #include <algorithm>
 
 #include "analysis/activity.h"

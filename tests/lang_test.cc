@@ -234,5 +234,64 @@ TEST(Strings, Dedent) {
   EXPECT_EQ(Dedent("\n    x\n"), "\nx\n");
 }
 
+// The tools' flag parsers: on bad input one usage line on stderr, prefixed
+// with the tool's name, and `out` untouched.
+std::string IntFlagError(std::string_view text, int64_t min_value) {
+  int64_t out = -7;
+  testing::internal::CaptureStderr();
+  const bool ok = ParseIntFlag("agtool", "--runs", text, min_value, &out);
+  std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(ok) << text;
+  EXPECT_EQ(out, -7) << text;
+  return err;
+}
+
+TEST(Strings, ParseIntFlagAcceptsWholeIntegersAtOrAboveTheMinimum) {
+  int64_t out = 0;
+  EXPECT_TRUE(ParseIntFlag("agtool", "--runs", "10", 1, &out));
+  EXPECT_EQ(out, 10);
+  EXPECT_TRUE(ParseIntFlag("agtool", "--port", "0", 0, &out));
+  EXPECT_EQ(out, 0);
+}
+
+TEST(Strings, ParseIntFlagRejectsMalformedEmptyAndBelowMinimum) {
+  EXPECT_EQ(IntFlagError("abc", 1),
+            "agtool: --runs expects an integer >= 1, got 'abc'\n");
+  EXPECT_EQ(IntFlagError("10x", 1),
+            "agtool: --runs expects an integer >= 1, got '10x'\n");
+  EXPECT_EQ(IntFlagError("", 1),
+            "agtool: --runs expects an integer >= 1, got ''\n");
+  EXPECT_EQ(IntFlagError("0", 1),
+            "agtool: --runs expects an integer >= 1, got '0'\n");
+  EXPECT_EQ(IntFlagError("-1", 0),
+            "agtool: --runs expects an integer >= 0, got '-1'\n");
+  EXPECT_EQ(IntFlagError("99999999999999999999", 1),
+            "agtool: --runs expects an integer >= 1, "
+            "got '99999999999999999999'\n");
+}
+
+TEST(Strings, ParseFeedsReadsCommaSeparatedFloats) {
+  std::vector<float> out = {9.0f};
+  EXPECT_TRUE(ParseFeeds("agtool", "1.0,2.5,-3", &out));
+  EXPECT_EQ(out, (std::vector<float>{1.0f, 2.5f, -3.0f}));
+}
+
+TEST(Strings, ParseFeedsRejectsMalformedAndEmptyInput) {
+  std::vector<float> out;
+  for (const auto& [spec, message] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"1.0,x", "agtool: --feeds expects comma-separated floats, "
+                     "got 'x'\n"},
+           {"1.0,,2", "agtool: --feeds expects comma-separated floats, "
+                      "got ''\n"},
+           {"2.5y", "agtool: --feeds expects comma-separated floats, "
+                    "got '2.5y'\n"},
+           {"", "agtool: --feeds given but no values parsed\n"}}) {
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(ParseFeeds("agtool", spec, &out)) << spec;
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), message) << spec;
+  }
+}
+
 }  // namespace
 }  // namespace ag::lang

@@ -27,12 +27,12 @@
 // Exit status: 0 on success, 1 on execution failure, 2 on usage / IO
 // problems.
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/api.h"
@@ -40,9 +40,14 @@
 #include "lang/parser.h"
 #include "obs/chrome_trace.h"
 #include "obs/run_metadata.h"
+#include "support/strings.h"
 #include "tensor/allocator.h"
 
 namespace {
+
+constexpr std::string_view kTool = "agprof";
+using ag::ParseFeeds;
+using ag::ParseIntFlag;
 
 void PrintUsage() {
   std::cerr << "usage: agprof [--fn=NAME] [--runs=N] [--feeds=v1,v2,...]\n"
@@ -106,26 +111,6 @@ void PrintAllocStats(const ag::obs::RunMetadata& meta) {
             << " retained_bytes=" << pool.retained_bytes << "\n";
 }
 
-// Strict positive-integer flag parse. std::stoi would throw (and
-// previously crashed the tool) on "--runs=abc" and silently accept
-// trailing junk like "10x"; from_chars lets us reject both, plus
-// overflow, with a usage message and exit status 2.
-bool ParseIntFlag(const std::string& flag, const std::string& text,
-                  int64_t min_value, int64_t* out) {
-  const char* first = text.data();
-  const char* last = text.data() + text.size();
-  int64_t value = 0;
-  auto [ptr, ec] = std::from_chars(first, last, value);
-  if (ec != std::errc() || ptr != last || text.empty() ||
-      value < min_value) {
-    std::cerr << "agprof: " << flag << " expects an integer >= "
-              << min_value << ", got '" << text << "'\n";
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
 // First function defined at the top level of the module.
 std::string FirstFunctionName(const ag::lang::ModulePtr& module) {
   for (const ag::lang::StmtPtr& stmt : module->body) {
@@ -134,31 +119,6 @@ std::string FirstFunctionName(const ag::lang::ModulePtr& module) {
     }
   }
   return "";
-}
-
-// Defensive float list parse: "1.0,2.5" → {1.0f, 2.5f}. Returns false
-// (usage error) on malformed or empty items rather than throwing.
-bool ParseFeeds(const std::string& spec, std::vector<float>* out) {
-  out->clear();
-  std::stringstream ss(spec);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    try {
-      size_t consumed = 0;
-      const float value = std::stof(item, &consumed);
-      if (consumed != item.size()) throw std::invalid_argument(item);
-      out->push_back(value);
-    } catch (const std::exception&) {
-      std::cerr << "agprof: --feeds expects comma-separated floats, got '"
-                << item << "'\n";
-      return false;
-    }
-  }
-  if (out->empty()) {
-    std::cerr << "agprof: --feeds given but no values parsed\n";
-    return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -182,12 +142,13 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--fn=", 0) == 0) {
       fn_name = arg.substr(5);
     } else if (arg.rfind("--runs=", 0) == 0) {
-      if (!ParseIntFlag("--runs", arg.substr(7), 1, &runs)) {
+      if (!ParseIntFlag(kTool, "--runs", arg.substr(7), 1, &runs)) {
         PrintUsage();
         return 2;
       }
     } else if (arg.rfind("--deadline-ms=", 0) == 0) {
-      if (!ParseIntFlag("--deadline-ms", arg.substr(14), 1, &deadline_ms)) {
+      if (!ParseIntFlag(kTool, "--deadline-ms", arg.substr(14), 1,
+                        &deadline_ms)) {
         PrintUsage();
         return 2;
       }
@@ -253,7 +214,7 @@ int main(int argc, char** argv) {
         agc.GetGlobal(fn_name).AsFunction()->params.size();
     std::vector<float> feed_values(num_params, 1.0f);
     if (!feeds_spec.empty()) {
-      if (!ParseFeeds(feeds_spec, &feed_values)) {
+      if (!ParseFeeds(kTool, feeds_spec, &feed_values)) {
         PrintUsage();
         return 2;
       }

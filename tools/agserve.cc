@@ -22,17 +22,22 @@
 //
 // Exit status: 0 on success, 1 on execution/transport failure, 2 on
 // usage / IO problems.
-#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/client.h"
 #include "serve/server.h"
+#include "support/strings.h"
 
 namespace {
+
+constexpr std::string_view kTool = "agserve";
+using ag::ParseFeeds;
+using ag::ParseIntFlag;
 
 void PrintUsage() {
   std::cerr
@@ -65,45 +70,6 @@ void PrintUsage() {
          "  --shutdown      ask the server to exit\n";
 }
 
-bool ParseIntFlag(const std::string& flag, const std::string& text,
-                  int64_t min_value, int64_t* out) {
-  const char* first = text.data();
-  const char* last = text.data() + text.size();
-  int64_t value = 0;
-  auto [ptr, ec] = std::from_chars(first, last, value);
-  if (ec != std::errc() || ptr != last || text.empty() ||
-      value < min_value) {
-    std::cerr << "agserve: " << flag << " expects an integer >= "
-              << min_value << ", got '" << text << "'\n";
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
-bool ParseFeeds(const std::string& spec, std::vector<float>* out) {
-  out->clear();
-  std::stringstream ss(spec);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    try {
-      size_t consumed = 0;
-      const float value = std::stof(item, &consumed);
-      if (consumed != item.size()) throw std::invalid_argument(item);
-      out->push_back(value);
-    } catch (const std::exception&) {
-      std::cerr << "agserve: --feeds expects comma-separated floats, "
-                   "got '" << item << "'\n";
-      return false;
-    }
-  }
-  if (out->empty()) {
-    std::cerr << "agserve: --feeds given but no values parsed\n";
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -130,36 +96,40 @@ int main(int argc, char** argv) {
       PrintUsage();
       return 0;
     } else if (arg.rfind("--port=", 0) == 0) {
-      if (!ParseIntFlag("--port", arg.substr(7), 0, &port)) return 2;
+      if (!ParseIntFlag(kTool, "--port", arg.substr(7), 0, &port)) return 2;
     } else if (arg.rfind("--workers=", 0) == 0) {
-      if (!ParseIntFlag("--workers", arg.substr(10), 1, &workers)) return 2;
+      if (!ParseIntFlag(kTool, "--workers", arg.substr(10), 1, &workers)) {
+        return 2;
+      }
     } else if (arg.rfind("--batch=", 0) == 0) {
-      if (!ParseIntFlag("--batch", arg.substr(8), 1, &batch)) return 2;
+      if (!ParseIntFlag(kTool, "--batch", arg.substr(8), 1, &batch)) return 2;
     } else if (arg.rfind("--linger-us=", 0) == 0) {
-      if (!ParseIntFlag("--linger-us", arg.substr(12), 0, &linger_us)) {
+      if (!ParseIntFlag(kTool, "--linger-us", arg.substr(12), 0, &linger_us)) {
         return 2;
       }
     } else if (arg.rfind("--inter-op=", 0) == 0) {
-      if (!ParseIntFlag("--inter-op", arg.substr(11), 0, &inter_op)) {
+      if (!ParseIntFlag(kTool, "--inter-op", arg.substr(11), 0, &inter_op)) {
         return 2;
       }
     } else if (arg.rfind("--intra-op=", 0) == 0) {
-      if (!ParseIntFlag("--intra-op", arg.substr(11), 0, &intra_op)) {
+      if (!ParseIntFlag(kTool, "--intra-op", arg.substr(11), 0, &intra_op)) {
         return 2;
       }
     } else if (arg.rfind("--queue-depth=", 0) == 0) {
-      if (!ParseIntFlag("--queue-depth", arg.substr(14), 1,
+      if (!ParseIntFlag(kTool, "--queue-depth", arg.substr(14), 1,
                         &queue_depth)) {
         return 2;
       }
     } else if (arg.rfind("--retries=", 0) == 0) {
-      if (!ParseIntFlag("--retries", arg.substr(10), 1, &retries)) return 2;
+      if (!ParseIntFlag(kTool, "--retries", arg.substr(10), 1, &retries)) {
+        return 2;
+      }
     } else if (arg.rfind("--budget-ms=", 0) == 0) {
-      if (!ParseIntFlag("--budget-ms", arg.substr(12), 1, &budget_ms)) {
+      if (!ParseIntFlag(kTool, "--budget-ms", arg.substr(12), 1, &budget_ms)) {
         return 2;
       }
     } else if (arg.rfind("--deadline-ms=", 0) == 0) {
-      if (!ParseIntFlag("--deadline-ms", arg.substr(14), 1,
+      if (!ParseIntFlag(kTool, "--deadline-ms", arg.substr(14), 1,
                         &deadline_ms)) {
         return 2;
       }
@@ -202,7 +172,7 @@ int main(int argc, char** argv) {
         return client.RequestShutdown() ? 0 : 1;
       }
       std::vector<float> feed_values;
-      if (!feeds_spec.empty() && !ParseFeeds(feeds_spec, &feed_values)) {
+      if (!feeds_spec.empty() && !ParseFeeds(kTool, feeds_spec, &feed_values)) {
         return 2;
       }
       std::vector<ag::Tensor> feeds;
