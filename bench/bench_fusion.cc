@@ -18,7 +18,7 @@
 // bit-identical in both engines, pool on or off — is enforced by
 // tests/fusion_test.cc; this benchmark measures the same pipelines.
 //
-// CI smoke-runs threads=1 and archives the JSON as BENCH_fusion.json.
+// CI smoke-runs threads=1.
 #include <benchmark/benchmark.h>
 
 #include <vector>

@@ -22,7 +22,7 @@
 // tests/simd_test.cc and tests/quantize_test.cc; this file measures
 // the same kernels.
 //
-// CI smoke-runs this binary and archives the JSON as BENCH_kernels.json.
+// CI smoke-runs this binary at threads=1.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

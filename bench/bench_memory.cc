@@ -15,7 +15,7 @@
 // pool=0 (RunOptions::buffer_pool=false) is the seed allocation path:
 // every tensor buffer is a fresh allocation freed on last release.
 //
-// CI smoke-runs threads=1 and archives the JSON as BENCH_memory.json.
+// CI smoke-runs threads=1.
 #include <benchmark/benchmark.h>
 
 #include <vector>

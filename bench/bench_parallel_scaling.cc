@@ -2,8 +2,7 @@
 // graph, and intra-op kernel sharding on a MatMul-heavy RNN cell.
 //
 // Both sweeps run at threads {1, 2, 4, 8} so the scaling curve of each
-// engine is visible in isolation (CI smoke-runs threads=2 and archives
-// the JSON as BENCH_parallel.json). On a single-core machine the curves
+// engine is visible in isolation (CI smoke-runs threads=2). On a single-core machine the curves
 // are flat and only measure scheduling overhead — the correctness (bit-
 // identical results at every thread count) is covered by runtime_test.
 #include <benchmark/benchmark.h>

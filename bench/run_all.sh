@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Runs every benchmark binary and tees the combined output. Pass a build
 # directory as $1 (default: ./build). Every benchmark writes a
-# machine-readable JSON twin to ${BUILD_DIR}/BENCH_<name>.json (CI
-# uploads these for regression diffing), and any benchmark failure fails
-# the whole run. Afterwards, emits Chrome traces for the example
-# programs via agprof into ${BUILD_DIR}/traces/ (view in
+# machine-readable JSON twin to ${BUILD_DIR}/BENCH_<name>.json, and any
+# benchmark failure fails the whole run. Afterwards, emits Chrome traces
+# for the example programs via agprof into ${BUILD_DIR}/traces/ (view in
 # chrome://tracing or Perfetto).
 set -euo pipefail
 BUILD_DIR="${1:-build}"

@@ -92,27 +92,23 @@ void CollectStmts(const StmtList& body, std::vector<const lang::Stmt*>* out) {
 
 // ---- AG001: definite assignment --------------------------------------
 
-void CheckMaybeUndefined(const lang::FunctionDefStmt& fn,
+void CheckMaybeUndefined(const ControlFlowGraph& cfg,
+                         const std::vector<const lang::Stmt*>& stmts,
                          std::vector<Diagnostic>* out) {
-  ControlFlowGraph cfg = ControlFlowGraph::Build(fn.body, fn.params);
   ReachingDefinitions defs(cfg);
 
   // Locals: symbols some CFG node writes. Reads of names never written
   // in the function resolve to globals/builtins and are not flagged.
-  std::set<std::string> locals;
+  NameSet locals(cfg.names());
   for (const CfgNode& node : cfg.nodes()) {
-    if (node.stmt != nullptr) {
-      locals.insert(node.writes.begin(), node.writes.end());
-    }
+    if (node.stmt != nullptr) locals |= node.writes;
   }
 
-  std::vector<const lang::Stmt*> stmts;
-  CollectStmts(fn.body, &stmts);
   for (const lang::Stmt* stmt : stmts) {
     const CfgNode& node =
         cfg.nodes()[static_cast<size_t>(cfg.NodeFor(stmt))];
-    const std::set<std::string>& must = defs.DefinitelyDefinedIn(stmt);
-    const std::set<std::string>& may = defs.MaybeDefinedIn(stmt);
+    const NameSet& must = defs.DefinitelyDefinedIn(stmt);
+    const NameSet& may = defs.MaybeDefinedIn(stmt);
     for (const std::string& r : node.reads) {
       if (!IsPlainUserName(r) || locals.count(r) == 0) continue;
       if (must.count(r) > 0 || may.count(r) == 0) continue;
@@ -323,13 +319,10 @@ void CheckUnreachable(const StmtList& body, std::vector<Diagnostic>* out) {
 
 // ---- AG007: dead stores ----------------------------------------------
 
-void CheckDeadStores(const lang::FunctionDefStmt& fn,
+void CheckDeadStores(const ControlFlowGraph& cfg,
+                     const std::vector<const lang::Stmt*>& stmts,
                      std::vector<Diagnostic>* out) {
-  ControlFlowGraph cfg = ControlFlowGraph::Build(fn.body, fn.params);
   Liveness liveness(cfg);
-
-  std::vector<const lang::Stmt*> stmts;
-  CollectStmts(fn.body, &stmts);
   for (const lang::Stmt* stmt : stmts) {
     if (stmt->kind != StmtKind::kAssign &&
         stmt->kind != StmtKind::kAugAssign) {
@@ -337,7 +330,7 @@ void CheckDeadStores(const lang::FunctionDefStmt& fn,
     }
     const CfgNode& node =
         cfg.nodes()[static_cast<size_t>(cfg.NodeFor(stmt))];
-    const std::set<std::string>& live_out = liveness.LiveOut(stmt);
+    const NameSet& live_out = liveness.LiveOut(stmt);
     for (const std::string& w : node.writes) {
       // Compound targets (`a.b`, `a[i]`) are side effects, not stores to
       // a local; `_`-prefixed names are the discard convention.
@@ -374,14 +367,18 @@ void SortDiagnostics(std::vector<Diagnostic>* out) {
 void LintFunctionInto(const std::shared_ptr<lang::FunctionDefStmt>& fn,
                       const LintOptions& options, bool with_recursion,
                       std::vector<Diagnostic>* out) {
-  CheckMaybeUndefined(*fn, out);
+  // One CFG serves both dataflow checks (AG001, AG007).
+  const ControlFlowGraph cfg = ControlFlowGraph::Build(fn->body, fn->params);
+  std::vector<const lang::Stmt*> stmts;
+  CollectStmts(fn->body, &stmts);
+  CheckMaybeUndefined(cfg, stmts, out);
   CheckTypeConsistency(*fn, out);
   CheckHiddenSideEffects(fn->body, 0, out);
   if (with_recursion) {
     CheckRecursion(StmtList{fn}, options, out);
   }
   CheckUnreachable(fn->body, out);
-  CheckDeadStores(*fn, out);
+  CheckDeadStores(cfg, stmts, out);
 }
 
 // Drops diagnostics whose code the spec deselects. Checks still *run*

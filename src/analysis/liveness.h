@@ -8,27 +8,31 @@
 //                   compounds this uses the synthetic exit node).
 #pragma once
 
-#include <set>
-#include <string>
-#include <vector>
-
 #include "analysis/cfg.h"
 
 namespace ag::analysis {
 
 class Liveness {
  public:
-  explicit Liveness(const ControlFlowGraph& cfg);
+  explicit Liveness(const ControlFlowGraph& cfg)
+      : cfg_(cfg),
+        live_(cfg, Dataflow::Direction::kBackward, Dataflow::Meet::kMay,
+              &CfgNode::reads, &CfgNode::writes) {}
 
-  [[nodiscard]] const std::set<std::string>& LiveIn(
-      const lang::Stmt* stmt) const;
-  [[nodiscard]] const std::set<std::string>& LiveOut(
-      const lang::Stmt* stmt) const;
+  [[nodiscard]] const NameSet& LiveIn(const lang::Stmt* stmt) const {
+    return live_.before[static_cast<size_t>(cfg_.NodeFor(stmt))];
+  }
+  // Live-out of a whole compound = live-out of its synthetic exit node
+  // (everything flowing out of the statement passes through it, and the
+  // synthetic node reads/writes nothing). For simple statements the exit
+  // node is the statement itself, so this is its ordinary live-out.
+  [[nodiscard]] const NameSet& LiveOut(const lang::Stmt* stmt) const {
+    return live_.after[static_cast<size_t>(cfg_.ExitNodeFor(stmt))];
+  }
 
  private:
   const ControlFlowGraph& cfg_;
-  std::vector<std::set<std::string>> live_in_;
-  std::vector<std::set<std::string>> live_out_;
+  Dataflow live_;
 };
 
 }  // namespace ag::analysis

@@ -7,32 +7,33 @@
 // a functionalized if/while (paper §7.2, Control Flow).
 #pragma once
 
-#include <set>
-#include <string>
-#include <vector>
-
 #include "analysis/cfg.h"
 
 namespace ag::analysis {
 
 class ReachingDefinitions {
  public:
-  explicit ReachingDefinitions(const ControlFlowGraph& cfg);
+  explicit ReachingDefinitions(const ControlFlowGraph& cfg)
+      : cfg_(cfg),
+        must_(cfg, Dataflow::Direction::kForward, Dataflow::Meet::kMust,
+              &CfgNode::writes),
+        may_(cfg, Dataflow::Direction::kForward, Dataflow::Meet::kMay,
+             &CfgNode::writes) {}
 
   // Symbols defined on every path reaching the entry of `stmt`.
-  [[nodiscard]] const std::set<std::string>& DefinitelyDefinedIn(
-      const lang::Stmt* stmt) const;
+  [[nodiscard]] const NameSet& DefinitelyDefinedIn(
+      const lang::Stmt* stmt) const {
+    return must_.before[static_cast<size_t>(cfg_.NodeFor(stmt))];
+  }
   // Symbols defined on at least one path reaching the entry of `stmt`.
-  [[nodiscard]] const std::set<std::string>& MaybeDefinedIn(
-      const lang::Stmt* stmt) const;
-  // Same, at the point just after the whole statement.
-  [[nodiscard]] const std::set<std::string>& DefinitelyDefinedOut(
-      const lang::Stmt* stmt) const;
+  [[nodiscard]] const NameSet& MaybeDefinedIn(const lang::Stmt* stmt) const {
+    return may_.before[static_cast<size_t>(cfg_.NodeFor(stmt))];
+  }
 
  private:
   const ControlFlowGraph& cfg_;
-  std::vector<std::set<std::string>> must_in_;  // intersection analysis
-  std::vector<std::set<std::string>> may_in_;   // union analysis
+  Dataflow must_;
+  Dataflow may_;
 };
 
 }  // namespace ag::analysis

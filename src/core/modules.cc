@@ -117,6 +117,13 @@ Value CallBuiltin(Interpreter& in, const BuiltinDef& row,
   } else {
     RequireArgs(args, kind == BuiltinKind::kUnary ? 1 : 2, name.c_str());
   }
+  // Only reductions take keywords; anything else would be silently ignored.
+  for (const auto& [k, v] : kwargs) {
+    if (kind != BuiltinKind::kReduction || (k != "axis" && k != "keepdims")) {
+      throw ValueError(name + "() got an unexpected keyword argument '" + k +
+                       "'");
+    }
+  }
   // A reduction's tensor operand is its first argument; the rest is axis.
   const std::span<const Value> operands =
       kind == BuiltinKind::kReduction ? std::span(args).first(1)

@@ -1,7 +1,7 @@
 // Blocking agserve client — one connection, sequential request/response.
 //
 // Used by agserve --call/--probe/--shutdown, serve_test, and
-// bench_serving's closed-loop workers. Not thread-safe: one Client per
+// perfbench's rnn_serve connections. Not thread-safe: one Client per
 // thread (the protocol supports pipelining; this client doesn't need
 // it).
 #pragma once

@@ -88,7 +88,7 @@ ExprPtr MakeStateTuple(const std::vector<std::string>& names) {
 
 // `v = ag__.Undefined('v')` statements for symbols that may be undefined.
 void EmitUndefinedReification(const std::vector<std::string>& names,
-                              const std::set<std::string>& defined,
+                              const analysis::NameSet& defined,
                               const lang::Node& src, StmtList* out) {
   for (const std::string& n : names) {
     if (defined.count(n) > 0) continue;
@@ -134,8 +134,8 @@ class ControlFlow final : public Transformer {
     // Analysis snapshot for this node (taken before rewriting children).
     const std::set<std::string> modified =
         activity_.ScopeFor(stmt.get()).ModifiedNames();
-    const std::set<std::string>& live_out = liveness_.LiveOut(stmt.get());
-    const std::set<std::string>& defined =
+    const analysis::NameSet& live_out = liveness_.LiveOut(stmt.get());
+    const analysis::NameSet& defined =
         reaching_.DefinitelyDefinedIn(stmt.get());
 
     std::vector<std::string> returned;
@@ -176,9 +176,9 @@ class ControlFlow final : public Transformer {
   StmtList TransformWhile(const std::shared_ptr<lang::WhileStmt>& stmt) {
     const std::set<std::string> modified =
         activity_.ScopeFor(stmt.get()).ModifiedNames();
-    const std::set<std::string>& live_out = liveness_.LiveOut(stmt.get());
-    const std::set<std::string>& live_in = liveness_.LiveIn(stmt.get());
-    const std::set<std::string>& defined =
+    const analysis::NameSet& live_out = liveness_.LiveOut(stmt.get());
+    const analysis::NameSet& live_in = liveness_.LiveIn(stmt.get());
+    const analysis::NameSet& defined =
         reaching_.DefinitelyDefinedIn(stmt.get());
 
     std::vector<std::string> state;
@@ -218,9 +218,9 @@ class ControlFlow final : public Transformer {
   StmtList TransformFor(const std::shared_ptr<lang::ForStmt>& stmt) {
     const std::set<std::string> modified =
         activity_.ScopeFor(stmt.get()).ModifiedNames();
-    const std::set<std::string>& live_out = liveness_.LiveOut(stmt.get());
-    const std::set<std::string>& live_in = liveness_.LiveIn(stmt.get());
-    const std::set<std::string>& defined =
+    const analysis::NameSet& live_out = liveness_.LiveOut(stmt.get());
+    const analysis::NameSet& live_in = liveness_.LiveIn(stmt.get());
+    const analysis::NameSet& defined =
         reaching_.DefinitelyDefinedIn(stmt.get());
 
     // Loop target names are rebound each iteration and are not state.

@@ -381,5 +381,69 @@ TEST(ReachingDefs, ParamsAreDefinedOnEntry) {
       reach.DefinitelyDefinedIn(module->body[0].get()).count("x"));
 }
 
+// The members of `set`, in iteration order.
+std::vector<std::string> Names(const NameSet& set) {
+  std::vector<std::string> names;
+  for (const std::string& name : set) names.push_back(name);
+  return names;
+}
+
+// 80 assigned names plus c, x and y: the name table spans two 64-bit
+// words, and v62/v63 sit on either side of the boundary.
+TEST(Dataflow, NamesAcrossAWordBoundary) {
+  std::string source;
+  std::vector<std::string> vs;
+  for (int i = 0; i < 80; ++i) {
+    vs.push_back((i < 10 ? "v0" : "v") + std::to_string(i));
+    source += vs.back() + " = c\n";
+  }
+  source += "if c:\n  x = v62 + v63 + v64\ny = x\n";
+  auto module = ParseStr(source);
+  auto cfg = ControlFlowGraph::Build(module->body, {"c"});
+  ASSERT_EQ(cfg.names().size(), 83u);
+  const auto* if_stmt = module->body[80].get();
+  const auto* last = module->body[81].get();
+
+  Liveness live(cfg);
+  EXPECT_EQ(Names(live.LiveIn(if_stmt)),
+            (std::vector<std::string>{"c", "v62", "v63", "v64", "x"}));
+  EXPECT_EQ(live.LiveIn(if_stmt).count("v65"), 0u);
+  EXPECT_EQ(live.LiveIn(if_stmt).count("not_a_name"), 0u);
+
+  ReachingDefinitions reach(cfg);
+  std::vector<std::string> expected{"c"};
+  expected.insert(expected.end(), vs.begin(), vs.end());
+  EXPECT_EQ(Names(reach.DefinitelyDefinedIn(last)), expected);
+  expected.push_back("x");
+  EXPECT_EQ(Names(reach.MaybeDefinedIn(last)), expected);
+}
+
+// `z = 1` follows a return, so no edge reaches it. The must-analysis
+// keeps it at top (every name the function writes is vacuously
+// defined); the may-analysis leaves it empty.
+TEST(ReachingDefs, UnreachableStatementInNestedLoopStaysAtTop) {
+  auto module = ParseStr(R"(
+while a:
+  for i in b:
+    return i
+    z = 1
+  w = 2
+)");
+  auto cfg = ControlFlowGraph::Build(module->body, {"a", "b"});
+  ReachingDefinitions reach(cfg);
+  const auto& loop = Cast<lang::WhileStmt>(module->body[0]);
+  const auto* z_stmt = Cast<lang::ForStmt>(loop->body[0])->body[1].get();
+  EXPECT_TRUE(cfg.nodes()[static_cast<size_t>(cfg.NodeFor(z_stmt))]
+                  .predecessors.empty());
+  EXPECT_EQ(Names(reach.DefinitelyDefinedIn(z_stmt)),
+            (std::vector<std::string>{"a", "b", "i", "w", "z"}));
+  EXPECT_TRUE(Names(reach.MaybeDefinedIn(z_stmt)).empty());
+  // The statement after the loop is reached only by the loop's exit, on
+  // which neither w nor z is certain.
+  const auto* w_stmt = loop->body[1].get();
+  EXPECT_TRUE(reach.DefinitelyDefinedIn(w_stmt).count("i"));
+  EXPECT_FALSE(reach.DefinitelyDefinedIn(w_stmt).count("z"));
+}
+
 }  // namespace
 }  // namespace ag::analysis

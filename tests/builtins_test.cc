@@ -234,6 +234,39 @@ TEST(BuiltinTable, ArityErrorNamesTheCalledFunction) {
   }
 }
 
+// Only reductions take keywords (axis, keepdims). Any other keyword is a
+// ValueError, eager and staged, not silently dropped.
+TEST(BuiltinTable, UnknownKeywordIsAValueError) {
+  const Tensor x = Floats({0.5f, 1.5f, 2.0f, 0.25f}, Shape({2, 2}));
+  for (const auto& [call, message] :
+       std::map<std::string, std::string>{
+           {"tf.nn.softmax(a, axis=0)",
+            "tf.nn.softmax() got an unexpected keyword argument 'axis'"},
+           {"tf.reduce_sum(a, axs=0)",
+            "tf.reduce_sum() got an unexpected keyword argument 'axs'"}}) {
+    for (const bool staged : {false, true}) {
+      AutoGraph agc;
+      agc.LoadSource(Source(call, 1));
+      try {
+        if (staged) {
+          (void)agc.Stage("f", {StageArg::Placeholder("a", DType::kFloat32)});
+        } else {
+          (void)agc.CallEager("f", {Value(x)});
+        }
+        ADD_FAILURE() << call << " did not throw, staged=" << staged;
+      } catch (const Error& e) {
+        EXPECT_EQ(e.kind(), ErrorKind::kValue) << call;
+        EXPECT_EQ(e.message(), message) << call;
+      }
+    }
+  }
+  const std::string keepdims =
+      Source("tf.reduce_sum(a, axis=0, keepdims=True)", 1);
+  const Tensor expected = Floats({2.5f, 1.75f}, Shape({1, 2}));
+  ExpectBitIdentical(expected, RunEager(keepdims, {x}), "eager");
+  ExpectBitIdentical(expected, RunStaged(keepdims, {x}, "ReduceSum"), "staged");
+}
+
 TEST(BuiltinTable, LanternReductionWithoutAnOpSaysTheOpIsUnsupported) {
   for (const char* name : {"reduce_mean", "reduce_max", "reduce_min"}) {
     AutoGraph agc;

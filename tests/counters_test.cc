@@ -1,0 +1,194 @@
+// Exact counters of fixed programs, pinned. These counts do not depend on
+// the machine, so they are gated strictly: a change that moves one
+// updates the pin here and says why.
+//   - graph nodes after Optimize, for every function of examples/*.pym;
+//   - kernels and fresh buffer allocations per staged Run of the
+//     Appendix D.1 beam search and the Table 1 dynamic_rnn;
+//   - execution plans compiled when staging from .pym and from .agc;
+//   - buffer allocations made while loading an .agc.
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "core/api.h"
+#include "core/artifact_io.h"
+#include "exec/value.h"
+#include "lang/parser.h"
+#include "obs/run_metadata.h"
+#include "tensor/allocator.h"
+#include "workloads/beam_search.h"
+#include "workloads/rnn.h"
+
+namespace ag {
+namespace {
+
+using core::AutoGraph;
+using core::StageArg;
+using core::StagedFunction;
+
+std::string ReadExample(const std::string& file) {
+  std::ifstream in(std::string(AG_EXAMPLES_DIR) + "/" + file);
+  EXPECT_TRUE(in.good()) << file;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// Stages every top-level function the way `agc compile` does (one
+// float32 placeholder per parameter) and returns "file:function" ->
+// optimized node count.
+std::map<std::string, int64_t> OptimizedNodeCounts(const std::string& file) {
+  const std::string source = ReadExample(file);
+  AutoGraph agc;
+  agc.LoadSource(source, file);
+  const lang::ModulePtr module = lang::ParseStr(source, file);
+  std::map<std::string, int64_t> counts;
+  for (const lang::StmtPtr& stmt : module->body) {
+    if (stmt->kind != lang::StmtKind::kFunctionDef) continue;
+    const std::string name = lang::Cast<lang::FunctionDefStmt>(stmt)->name;
+    std::vector<StageArg> args;
+    for (size_t i = 0; i < agc.GetGlobal(name).AsFunction()->params.size();
+         ++i) {
+      args.push_back(StageArg::Placeholder("arg" + std::to_string(i)));
+    }
+    counts[file + ":" + name] =
+        static_cast<int64_t>(agc.Stage(name, args).graph->num_nodes());
+  }
+  return counts;
+}
+
+struct RunCounters {
+  int64_t kernels = 0;
+  int64_t allocs = 0;         // buffers one Run allocates, pool off
+  int64_t pooled_allocs = 0;  // fresh allocations of a warm pooled Run
+};
+
+// Counters of one steady-state Run on the scalar backend (the SIMD
+// kernels allocate differently, and not every machine has them). The
+// first Run compiles the plans and warms the buffer pool; the next two
+// are counted, pool on and pool off.
+RunCounters CountRun(StagedFunction& fn,
+                     const std::vector<exec::RuntimeValue>& feeds) {
+  obs::RunOptions pooled;
+  pooled.kernel_backend = "scalar";
+  obs::RunOptions unpooled = pooled;
+  unpooled.buffer_pool = false;
+  (void)fn.Run(feeds, &pooled);
+  RunCounters c;
+  const int64_t kernels0 = fn.session->stats().kernel_invocations.load();
+  int64_t allocs0 = tensor::ThreadAllocCount();
+  (void)fn.Run(feeds, &pooled);
+  c.kernels = fn.session->stats().kernel_invocations.load() - kernels0;
+  c.pooled_allocs = tensor::ThreadAllocCount() - allocs0;
+  allocs0 = tensor::ThreadAllocCount();
+  (void)fn.Run(feeds, &unpooled);
+  c.allocs = tensor::ThreadAllocCount() - allocs0;
+  return c;
+}
+
+workloads::RnnConfig SmallRnn() {
+  workloads::RnnConfig config;
+  config.batch = 4;
+  config.seq_len = 8;
+  config.input_size = 8;
+  config.hidden = 16;
+  return config;
+}
+
+std::vector<exec::RuntimeValue> RnnFeeds(const workloads::RnnInputs& in) {
+  return {in.input_data, in.initial_state, in.sequence_len};
+}
+
+StagedFunction StageRnn(AutoGraph& agc) {
+  return agc.Stage("dynamic_rnn",
+                   {StageArg::Placeholder("input_data"),
+                    StageArg::Placeholder("initial_state"),
+                    StageArg::Placeholder("sequence_len", DType::kInt32)});
+}
+
+TEST(Counters, OptimizedNodeCountOfEveryExampleFunction) {
+  std::map<std::string, int64_t> counts;
+  for (const char* file : {"dynamic_rnn.pym", "quickstart.pym",
+                           "side_effects.pym", "training_loop.pym"}) {
+    counts.merge(OptimizedNodeCounts(file));
+  }
+  const std::map<std::string, int64_t> pinned = {
+      {"dynamic_rnn.pym:dynamic_rnn", 15},
+      {"dynamic_rnn.pym:rnn_cell", 8},
+      {"quickstart.pym:f", 4},
+      {"quickstart.pym:relu_clip", 4},
+      {"quickstart.pym:sum_squares", 3},
+      {"side_effects.pym:normalize", 5},
+      {"training_loop.pym:loss_fn", 8},
+      {"training_loop.pym:predict", 5},
+      {"training_loop.pym:train", 13},
+  };
+  EXPECT_EQ(counts, pinned);
+}
+
+TEST(Counters, BeamSearchKernelsAndAllocsPerRun) {
+  workloads::BeamConfig config;
+  config.beam = 4;
+  config.vocab = 64;
+  config.hidden = 32;
+  config.max_len = 16;
+  const workloads::BeamInputs inputs = workloads::MakeBeamInputs(config);
+  AutoGraph agc;
+  workloads::InstallBeamSearch(agc, config, inputs);
+  StagedFunction fn = agc.Stage(
+      "beam_search", {StageArg::Placeholder("state"),
+                      StageArg::Placeholder("scores"),
+                      StageArg::Placeholder("tokens", DType::kInt32)});
+  const RunCounters c = CountRun(
+      fn, {inputs.init_state, inputs.init_scores, inputs.init_tokens});
+  EXPECT_EQ(c.kernels, 517);
+  EXPECT_EQ(c.allocs, 370);
+  EXPECT_EQ(c.pooled_allocs, 0);
+}
+
+TEST(Counters, DynamicRnnKernelsAndAllocsPerRun) {
+  const workloads::RnnInputs inputs = workloads::MakeRnnInputs(SmallRnn());
+  AutoGraph agc;
+  workloads::InstallRnn(agc, inputs);
+  StagedFunction fn = StageRnn(agc);
+  const RunCounters c = CountRun(fn, RnnFeeds(inputs));
+  EXPECT_EQ(c.kernels, 107);
+  EXPECT_EQ(c.allocs, 70);
+  EXPECT_EQ(c.pooled_allocs, 0);
+}
+
+// From .pym, the first Run compiles the top plan and one plan per control
+// flow subgraph. From .agc every plan is installed, so none compiles, and
+// the weights wrap the file mapping, so loading allocates no buffer.
+TEST(Counters, PlansCompiledFromPymAndAgcAndLoadAllocs) {
+  const workloads::RnnInputs inputs = workloads::MakeRnnInputs(SmallRnn());
+  AutoGraph agc;
+  workloads::InstallRnn(agc, inputs);
+  StagedFunction from_pym = StageRnn(agc);
+  (void)from_pym.Run(RnnFeeds(inputs));
+  EXPECT_EQ(from_pym.session->stats().plans_compiled.load(), 3);
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("counters_test_" + std::to_string(::getpid()) + ".agc"))
+          .string();
+  core::SaveArtifact(path, {{"dynamic_rnn", &from_pym}});
+  const int64_t allocs0 = tensor::ThreadAllocCount();
+  auto loaded = core::StageFromArtifact(path);
+  EXPECT_EQ(tensor::ThreadAllocCount() - allocs0, 0);
+  StagedFunction& from_agc = loaded.at("dynamic_rnn");
+  (void)from_agc.Run(RnnFeeds(inputs));
+  EXPECT_EQ(from_agc.session->stats().plans_compiled.load(), 0);
+  std::remove(path.c_str());
+}
+
+}  // namespace
+}  // namespace ag
