@@ -1,10 +1,12 @@
 #include "autodiff/graph_grad.h"
 
 #include <functional>
+#include <iterator>
 #include <map>
 #include <set>
-#include <unordered_map>
+#include <string_view>
 
+#include "autodiff/vjp.h"
 #include "support/error.h"
 
 namespace ag::autodiff {
@@ -16,270 +18,215 @@ using graph::Output;
 
 namespace {
 
-// Maps (ctx, node, output grads) -> input grads (invalid Output = none).
-using GradFn = std::function<std::vector<Output>(
-    GraphContext&, Node*, const std::vector<Output>&)>;
+// The algebra vjp.h rules are written over, emitting one graph node per
+// primitive.
+struct GraphAlgebra {
+  using Value = Output;
+  GraphContext& ctx;
 
-Output SumTo(GraphContext& ctx, Output grad, Output like) {
-  return Op(ctx, "SumToShapeOf", {grad, like});
+  Output Add(Output x, Output y) { return Op(ctx, "Add", {x, y}); }
+  Output Sub(Output x, Output y) { return Op(ctx, "Sub", {x, y}); }
+  Output Mul(Output x, Output y) { return Op(ctx, "Mul", {x, y}); }
+  Output Div(Output x, Output y) { return Op(ctx, "Div", {x, y}); }
+  Output Neg(Output x) { return Op(ctx, "Neg", {x}); }
+  Output Greater(Output x, Output y) { return Op(ctx, "Greater", {x, y}); }
+  Output MatMul(Output x, Output y) { return Op(ctx, "MatMul", {x, y}); }
+  Output Transpose(Output x) {
+    return Op(ctx, "Transpose", {x}, {{"perm", std::vector<int>{1, 0}}});
+  }
+  Output Scalar(float c) { return graph::Const(ctx, Tensor::Scalar(c)); }
+  Output SumTo(Output g, Output like) {
+    return Op(ctx, "SumToShapeOf", {g, like});
+  }
+  Output OnesLike(Output x) { return Op(ctx, "OnesLike", {x}); }
+  Output ReshapeLike(Output g, Output like) {
+    return Op(ctx, "ReshapeLike", {g, like});
+  }
+  Output ExpandDims(Output g, int axis) {
+    return Op(ctx, "ExpandDims", {g}, {{"axis", int64_t{axis}}});
+  }
+  Output SizeRatio(Output x, Output y) {
+    Output nx = Op(ctx, "Cast", {Op(ctx, "Size", {x})},
+                   {{"dtype", DType::kFloat32}});
+    Output ny = Op(ctx, "Cast", {Op(ctx, "Size", {y})},
+                   {{"dtype", DType::kFloat32}});
+    return Op(ctx, "Div", {nx, ny});
+  }
+  Output SoftmaxCrossEntropyGrad(Output logits, Output labels) {
+    return Op(ctx, "SoftmaxCrossEntropyGrad", {logits, labels});
+  }
+};
+
+// Maps (ctx, node, output grads) -> input grads (invalid Output = none).
+using GraphGrad = std::vector<Output> (*)(GraphContext&, Node*,
+                                          const std::vector<Output>&);
+
+// Adapts a vjp.h rule to a node: its inputs, output 0 and axis/keepdims
+// attrs; inputs the rule gives no gradient get none.
+template <vjp::Rule<GraphAlgebra> kRule>
+std::vector<Output> Shared(GraphContext& ctx, Node* n,
+                           const std::vector<Output>& g) {
+  vjp::Forward<Output> f{.x = n->inputs(), .y = n->out(0)};
+  if (n->HasAttr("axis")) {
+    f.axis = static_cast<int>(n->attr<int64_t>("axis"));
+  }
+  f.keepdims = n->HasAttr("keepdims") && n->attr<int64_t>("keepdims") != 0;
+  GraphAlgebra algebra{ctx};
+  std::vector<Output> grads = kRule(algebra, f, g[0]);
+  grads.resize(n->inputs().size());
+  return grads;
 }
 
-const std::unordered_map<std::string, GradFn>& GradRegistry() {
-  static const auto* kRegistry = [] {
-    auto* r = new std::unordered_map<std::string, GradFn>();
-    auto& reg = *r;
+std::vector<Output> NoInputGrads(GraphContext&, Node* n,
+                                 const std::vector<Output>&) {
+  return std::vector<Output>(n->inputs().size());
+}
 
-    reg["Add"] = [](GraphContext& ctx, Node* n,
-                    const std::vector<Output>& g) {
-      return std::vector<Output>{SumTo(ctx, g[0], n->inputs()[0]),
-                                 SumTo(ctx, g[0], n->inputs()[1])};
-    };
-    reg["Sub"] = [](GraphContext& ctx, Node* n,
-                    const std::vector<Output>& g) {
-      return std::vector<Output>{
-          SumTo(ctx, g[0], n->inputs()[0]),
-          SumTo(ctx, Op(ctx, "Neg", {g[0]}), n->inputs()[1])};
-    };
-    reg["Mul"] = [](GraphContext& ctx, Node* n,
-                    const std::vector<Output>& g) {
-      Output a = n->inputs()[0];
-      Output b = n->inputs()[1];
-      return std::vector<Output>{SumTo(ctx, Op(ctx, "Mul", {g[0], b}), a),
-                                 SumTo(ctx, Op(ctx, "Mul", {g[0], a}), b)};
-    };
-    reg["Div"] = [](GraphContext& ctx, Node* n,
-                    const std::vector<Output>& g) {
-      Output a = n->inputs()[0];
-      Output b = n->inputs()[1];
-      Output ga = SumTo(ctx, Op(ctx, "Div", {g[0], b}), a);
-      Output num = Op(ctx, "Mul", {g[0], a});
-      Output den = Op(ctx, "Mul", {b, b});
-      Output gb =
-          SumTo(ctx, Op(ctx, "Neg", {Op(ctx, "Div", {num, den})}), b);
-      return std::vector<Output>{ga, gb};
-    };
-    reg["Pow"] = [](GraphContext& ctx, Node* n,
-                    const std::vector<Output>& g) {
-      Output a = n->inputs()[0];
-      Output b = n->inputs()[1];
-      Output one = graph::Const(ctx, Tensor::Scalar(1.0f));
-      Output bm1 = Op(ctx, "Sub", {b, one});
-      Output da = Op(ctx, "Mul", {b, Op(ctx, "Pow", {a, bm1})});
-      Output ga = SumTo(ctx, Op(ctx, "Mul", {g[0], da}), a);
-      Output db = Op(ctx, "Mul", {n->out(0), Op(ctx, "Log", {a})});
-      Output gb = SumTo(ctx, Op(ctx, "Mul", {g[0], db}), b);
-      return std::vector<Output>{ga, gb};
-    };
-    reg["Maximum"] = [](GraphContext& ctx, Node* n,
-                        const std::vector<Output>& g) {
-      Output a = n->inputs()[0];
-      Output b = n->inputs()[1];
-      Output mask = Op(ctx, "GreaterEqual", {a, b});
-      Output ga = SumTo(ctx, Op(ctx, "Mul", {g[0], mask}), a);
-      Output gb = SumTo(
-          ctx, Op(ctx, "Mul", {g[0], Op(ctx, "LogicalNot", {mask})}), b);
-      return std::vector<Output>{ga, gb};
-    };
-    reg["Minimum"] = [](GraphContext& ctx, Node* n,
-                        const std::vector<Output>& g) {
-      Output a = n->inputs()[0];
-      Output b = n->inputs()[1];
-      Output mask = Op(ctx, "LessEqual", {a, b});
-      Output ga = SumTo(ctx, Op(ctx, "Mul", {g[0], mask}), a);
-      Output gb = SumTo(
-          ctx, Op(ctx, "Mul", {g[0], Op(ctx, "LogicalNot", {mask})}), b);
-      return std::vector<Output>{ga, gb};
-    };
+struct GradRow {
+  std::string_view op;
+  GraphGrad grad;
+};
 
-    reg["Neg"] = [](GraphContext& ctx, Node*, const std::vector<Output>& g) {
-      return std::vector<Output>{Op(ctx, "Neg", {g[0]})};
-    };
-    reg["Exp"] = [](GraphContext& ctx, Node* n,
-                    const std::vector<Output>& g) {
-      return std::vector<Output>{Op(ctx, "Mul", {g[0], n->out(0)})};
-    };
-    reg["Log"] = [](GraphContext& ctx, Node* n,
-                    const std::vector<Output>& g) {
-      return std::vector<Output>{Op(ctx, "Div", {g[0], n->inputs()[0]})};
-    };
-    reg["Tanh"] = [](GraphContext& ctx, Node* n,
-                     const std::vector<Output>& g) {
-      Output y = n->out(0);
-      Output one = graph::Const(ctx, Tensor::Scalar(1.0f));
-      Output d = Op(ctx, "Sub", {one, Op(ctx, "Mul", {y, y})});
-      return std::vector<Output>{Op(ctx, "Mul", {g[0], d})};
-    };
-    reg["Sigmoid"] = [](GraphContext& ctx, Node* n,
-                        const std::vector<Output>& g) {
-      Output y = n->out(0);
-      Output one = graph::Const(ctx, Tensor::Scalar(1.0f));
-      Output d = Op(ctx, "Mul", {y, Op(ctx, "Sub", {one, y})});
-      return std::vector<Output>{Op(ctx, "Mul", {g[0], d})};
-    };
-    reg["Relu"] = [](GraphContext& ctx, Node* n,
-                     const std::vector<Output>& g) {
-      Output zero = graph::Const(ctx, Tensor::Scalar(0.0f));
-      Output mask = Op(ctx, "Greater", {n->inputs()[0], zero});
-      return std::vector<Output>{Op(ctx, "Mul", {g[0], mask})};
-    };
-    reg["Sqrt"] = [](GraphContext& ctx, Node* n,
-                     const std::vector<Output>& g) {
-      Output half = graph::Const(ctx, Tensor::Scalar(0.5f));
-      Output d = Op(ctx, "Div", {half, n->out(0)});
-      return std::vector<Output>{Op(ctx, "Mul", {g[0], d})};
-    };
-    reg["Square"] = [](GraphContext& ctx, Node* n,
-                       const std::vector<Output>& g) {
-      Output two = graph::Const(ctx, Tensor::Scalar(2.0f));
-      Output d = Op(ctx, "Mul", {two, n->inputs()[0]});
-      return std::vector<Output>{Op(ctx, "Mul", {g[0], d})};
-    };
-    reg["Sin"] = [](GraphContext& ctx, Node* n,
-                    const std::vector<Output>& g) {
-      return std::vector<Output>{
-          Op(ctx, "Mul", {g[0], Op(ctx, "Cos", {n->inputs()[0]})})};
-    };
-    reg["Cos"] = [](GraphContext& ctx, Node* n,
-                    const std::vector<Output>& g) {
-      Output s = Op(ctx, "Sin", {n->inputs()[0]});
-      return std::vector<Output>{Op(ctx, "Neg", {Op(ctx, "Mul", {g[0], s})})};
-    };
-    reg["Cast"] = [](GraphContext&, Node*, const std::vector<Output>& g) {
-      return std::vector<Output>{g[0]};
-    };
+// One row per op with a gradient. The shared rows come from vjp.h; the
+// rest have no tape or Lantern counterpart.
+constexpr GradRow kGradRows[] = {
+    {"Add", &Shared<&vjp::Add<GraphAlgebra>>},
+    {"Sub", &Shared<&vjp::Sub<GraphAlgebra>>},
+    {"Mul", &Shared<&vjp::Mul<GraphAlgebra>>},
+    {"Div", &Shared<&vjp::Div<GraphAlgebra>>},
+    {"Neg", &Shared<&vjp::Neg<GraphAlgebra>>},
+    {"Exp", &Shared<&vjp::Exp<GraphAlgebra>>},
+    {"Log", &Shared<&vjp::Log<GraphAlgebra>>},
+    {"Tanh", &Shared<&vjp::Tanh<GraphAlgebra>>},
+    {"Sigmoid", &Shared<&vjp::Sigmoid<GraphAlgebra>>},
+    {"Relu", &Shared<&vjp::Relu<GraphAlgebra>>},
+    {"Sqrt", &Shared<&vjp::Sqrt<GraphAlgebra>>},
+    {"Square", &Shared<&vjp::Square<GraphAlgebra>>},
+    {"MatMul", &Shared<&vjp::MatMul<GraphAlgebra>>},
+    {"Reshape", &Shared<&vjp::Reshape<GraphAlgebra>>},
+    {"ReduceSum", &Shared<&vjp::ReduceSum<GraphAlgebra>>},
+    {"ReduceMean", &Shared<&vjp::ReduceMean<GraphAlgebra>>},
+    {"SoftmaxCrossEntropy", &Shared<&vjp::SoftmaxCrossEntropy<GraphAlgebra>>},
 
-    reg["MatMul"] = [](GraphContext& ctx, Node* n,
-                       const std::vector<Output>& g) {
-      Output a = n->inputs()[0];
-      Output b = n->inputs()[1];
-      std::vector<int> swap{1, 0};
-      Output bt = Op(ctx, "Transpose", {b}, {{"perm", swap}});
-      Output at = Op(ctx, "Transpose", {a}, {{"perm", swap}});
-      return std::vector<Output>{Op(ctx, "MatMul", {g[0], bt}),
-                                 Op(ctx, "MatMul", {at, g[0]})};
-    };
-    reg["Transpose"] = [](GraphContext& ctx, Node* n,
-                          const std::vector<Output>& g) {
-      const std::vector<int>& perm = n->attr<std::vector<int>>("perm");
-      std::vector<int> inverse(perm.size());
-      for (size_t i = 0; i < perm.size(); ++i) {
-        inverse[static_cast<size_t>(perm[i])] = static_cast<int>(i);
-      }
-      return std::vector<Output>{
-          Op(ctx, "Transpose", {g[0]}, {{"perm", inverse}})};
-    };
-    reg["Reshape"] = [](GraphContext& ctx, Node* n,
-                        const std::vector<Output>& g) {
-      return std::vector<Output>{
-          Op(ctx, "ReshapeLike", {g[0], n->inputs()[0]})};
-    };
-    reg["ExpandDims"] = [](GraphContext& ctx, Node* n,
-                           const std::vector<Output>& g) {
-      return std::vector<Output>{
-          Op(ctx, "ReshapeLike", {g[0], n->inputs()[0]})};
-    };
-
-    reg["ReduceSum"] = [](GraphContext& ctx, Node* n,
-                          const std::vector<Output>& g) {
-      Output x = n->inputs()[0];
-      Output ones = Op(ctx, "OnesLike", {x});
-      Output grad = g[0];
-      const bool keepdims =
-          n->HasAttr("keepdims") && n->attr<int64_t>("keepdims") != 0;
-      if (n->HasAttr("axis") && !keepdims) {
-        grad = Op(ctx, "ExpandDims", {grad}, {{"axis", n->attr<int64_t>("axis")}});
-      }
-      return std::vector<Output>{Op(ctx, "Mul", {ones, grad})};
-    };
-    reg["ReduceMean"] = [](GraphContext& ctx, Node* n,
-                           const std::vector<Output>& g) {
-      Output x = n->inputs()[0];
-      Output ones = Op(ctx, "OnesLike", {x});
-      Output grad = g[0];
-      const bool keepdims =
-          n->HasAttr("keepdims") && n->attr<int64_t>("keepdims") != 0;
-      if (n->HasAttr("axis") && !keepdims) {
-        grad = Op(ctx, "ExpandDims", {grad},
-                  {{"axis", n->attr<int64_t>("axis")}});
-      }
-      Output spread = Op(ctx, "Mul", {ones, grad});
-      // Divide by the reduction factor |x| / |y|.
-      Output nx = Op(ctx, "Cast", {Op(ctx, "Size", {x})},
-                     {{"dtype", DType::kFloat32}});
-      Output ny = Op(ctx, "Cast", {Op(ctx, "Size", {n->out(0)})},
-                     {{"dtype", DType::kFloat32}});
-      Output factor = Op(ctx, "Div", {nx, ny});
-      return std::vector<Output>{Op(ctx, "Div", {spread, factor})};
-    };
-
-    reg["SoftmaxCrossEntropy"] = [](GraphContext& ctx, Node* n,
-                                    const std::vector<Output>& g) {
-      Output logits = n->inputs()[0];
-      Output labels = n->inputs()[1];
-      Output d = Op(ctx, "SoftmaxCrossEntropyGrad", {logits, labels});
-      return std::vector<Output>{Op(ctx, "Mul", {d, g[0]}), Output{}};
-    };
-
-    reg["Where"] = [](GraphContext& ctx, Node* n,
-                      const std::vector<Output>& g) {
-      Output cond = n->inputs()[0];
-      Output zeros = Op(ctx, "ZerosLike", {g[0]});
-      return std::vector<Output>{Output{},
-                                 Op(ctx, "Where", {cond, g[0], zeros}),
-                                 Op(ctx, "Where", {cond, zeros, g[0]})};
-    };
+    {"Pow",
+     [](GraphContext& ctx, Node* n, const std::vector<Output>& g) {
+       Output a = n->inputs()[0];
+       Output b = n->inputs()[1];
+       Output one = graph::Const(ctx, Tensor::Scalar(1.0f));
+       Output bm1 = Op(ctx, "Sub", {b, one});
+       Output da = Op(ctx, "Mul", {b, Op(ctx, "Pow", {a, bm1})});
+       Output ga = GraphAlgebra{ctx}.SumTo(Op(ctx, "Mul", {g[0], da}), a);
+       Output db = Op(ctx, "Mul", {n->out(0), Op(ctx, "Log", {a})});
+       Output gb = GraphAlgebra{ctx}.SumTo(Op(ctx, "Mul", {g[0], db}), b);
+       return std::vector<Output>{ga, gb};
+     }},
+    {"Maximum",
+     [](GraphContext& ctx, Node* n, const std::vector<Output>& g) {
+       Output a = n->inputs()[0];
+       Output b = n->inputs()[1];
+       Output mask = Op(ctx, "GreaterEqual", {a, b});
+       Output ga = GraphAlgebra{ctx}.SumTo(Op(ctx, "Mul", {g[0], mask}), a);
+       Output gb = GraphAlgebra{ctx}.SumTo(
+           Op(ctx, "Mul", {g[0], Op(ctx, "LogicalNot", {mask})}), b);
+       return std::vector<Output>{ga, gb};
+     }},
+    {"Minimum",
+     [](GraphContext& ctx, Node* n, const std::vector<Output>& g) {
+       Output a = n->inputs()[0];
+       Output b = n->inputs()[1];
+       Output mask = Op(ctx, "LessEqual", {a, b});
+       Output ga = GraphAlgebra{ctx}.SumTo(Op(ctx, "Mul", {g[0], mask}), a);
+       Output gb = GraphAlgebra{ctx}.SumTo(
+           Op(ctx, "Mul", {g[0], Op(ctx, "LogicalNot", {mask})}), b);
+       return std::vector<Output>{ga, gb};
+     }},
+    {"Sin",
+     [](GraphContext& ctx, Node* n, const std::vector<Output>& g) {
+       return std::vector<Output>{
+           Op(ctx, "Mul", {g[0], Op(ctx, "Cos", {n->inputs()[0]})})};
+     }},
+    {"Cos",
+     [](GraphContext& ctx, Node* n, const std::vector<Output>& g) {
+       Output s = Op(ctx, "Sin", {n->inputs()[0]});
+       return std::vector<Output>{
+           Op(ctx, "Neg", {Op(ctx, "Mul", {g[0], s})})};
+     }},
+    {"Cast",
+     [](GraphContext&, Node*, const std::vector<Output>& g) {
+       return std::vector<Output>{g[0]};
+     }},
+    {"Transpose",
+     [](GraphContext& ctx, Node* n, const std::vector<Output>& g) {
+       const std::vector<int>& perm = n->attr<std::vector<int>>("perm");
+       std::vector<int> inverse(perm.size());
+       for (size_t i = 0; i < perm.size(); ++i) {
+         inverse[static_cast<size_t>(perm[i])] = static_cast<int>(i);
+       }
+       return std::vector<Output>{
+           Op(ctx, "Transpose", {g[0]}, {{"perm", inverse}})};
+     }},
+    {"ExpandDims",
+     [](GraphContext& ctx, Node* n, const std::vector<Output>& g) {
+       return std::vector<Output>{
+           Op(ctx, "ReshapeLike", {g[0], n->inputs()[0]})};
+     }},
+    {"Where",
+     [](GraphContext& ctx, Node* n, const std::vector<Output>& g) {
+       Output cond = n->inputs()[0];
+       Output zeros = Op(ctx, "ZerosLike", {g[0]});
+       return std::vector<Output>{Output{},
+                                  Op(ctx, "Where", {cond, g[0], zeros}),
+                                  Op(ctx, "Where", {cond, zeros, g[0]})};
+     }},
 
     // Grads of ops that appear in gradient subgraphs themselves — needed
     // to differentiate *through* tf.gradients (second-order, e.g. MAML).
-    reg["OnesLike"] = [](GraphContext& ctx, Node* n,
-                         const std::vector<Output>&) {
-      return std::vector<Output>{Op(ctx, "ZerosLike", {n->inputs()[0]})};
-    };
-    reg["ZerosLike"] = [](GraphContext& ctx, Node* n,
-                          const std::vector<Output>&) {
-      return std::vector<Output>{Op(ctx, "ZerosLike", {n->inputs()[0]})};
-    };
-    reg["SumToShapeOf"] = [](GraphContext& ctx, Node* n,
-                             const std::vector<Output>& g) {
-      // d/dx sum_to_shape(x, ref): broadcast the upstream grad back.
-      Output ones = Op(ctx, "OnesLike", {n->inputs()[0]});
-      return std::vector<Output>{Op(ctx, "Mul", {ones, g[0]}), Output{}};
-    };
-    reg["ReshapeLike"] = [](GraphContext& ctx, Node* n,
-                            const std::vector<Output>& g) {
-      return std::vector<Output>{
-          Op(ctx, "ReshapeLike", {g[0], n->inputs()[0]}), Output{}};
-    };
+    {"OnesLike",
+     [](GraphContext& ctx, Node* n, const std::vector<Output>&) {
+       return std::vector<Output>{Op(ctx, "ZerosLike", {n->inputs()[0]})};
+     }},
+    {"ZerosLike",
+     [](GraphContext& ctx, Node* n, const std::vector<Output>&) {
+       return std::vector<Output>{Op(ctx, "ZerosLike", {n->inputs()[0]})};
+     }},
+    {"SumToShapeOf",
+     [](GraphContext& ctx, Node* n, const std::vector<Output>& g) {
+       // d/dx sum_to_shape(x, ref): broadcast the upstream grad back.
+       Output ones = Op(ctx, "OnesLike", {n->inputs()[0]});
+       return std::vector<Output>{Op(ctx, "Mul", {ones, g[0]}), Output{}};
+     }},
+    {"ReshapeLike",
+     [](GraphContext& ctx, Node* n, const std::vector<Output>& g) {
+       return std::vector<Output>{
+           Op(ctx, "ReshapeLike", {g[0], n->inputs()[0]}), Output{}};
+     }},
     // Shape metadata ops are constants w.r.t. values: stop gradients.
-    const auto no_input_grads = [](GraphContext&, Node* n,
-                                   const std::vector<Output>&) {
-      return std::vector<Output>(n->inputs().size());
-    };
-    reg["Size"] = no_input_grads;
-    reg["Shape"] = no_input_grads;
-    reg["Dim0"] = no_input_grads;
-    reg["IndexAxis0"] = [](GraphContext& ctx, Node* n,
-                           const std::vector<Output>& g) {
-      Output zeros = Op(ctx, "ZerosLike", {n->inputs()[0]});
-      return std::vector<Output>{
-          Op(ctx, "SetItemAxis0", {zeros, n->inputs()[1], g[0]}), Output{}};
-    };
+    {"Size", &NoInputGrads},
+    {"Shape", &NoInputGrads},
+    {"Dim0", &NoInputGrads},
+    {"IndexAxis0",
+     [](GraphContext& ctx, Node* n, const std::vector<Output>& g) {
+       Output zeros = Op(ctx, "ZerosLike", {n->inputs()[0]});
+       return std::vector<Output>{
+           Op(ctx, "SetItemAxis0", {zeros, n->inputs()[1], g[0]}), Output{}};
+     }},
+};
 
-    return r;
-  }();
-  return *kRegistry;
+const GradRow* FindGradRow(std::string_view op) {
+  for (const GradRow& row : kGradRows) {
+    if (row.op == op) return &row;
+  }
+  return nullptr;
 }
 
 }  // namespace
 
-bool HasGradient(const std::string& op) {
-  return GradRegistry().count(op) > 0;
-}
+bool HasGradient(const std::string& op) { return FindGradRow(op) != nullptr; }
 
 std::vector<std::string> GradientOps() {
   std::vector<std::string> ops;
-  ops.reserve(GradRegistry().size());
-  for (const auto& [op, grad] : GradRegistry()) ops.push_back(op);
+  ops.reserve(std::size(kGradRows));
+  for (const GradRow& row : kGradRows) ops.emplace_back(row.op);
   return ops;
 }
 
@@ -356,12 +303,12 @@ std::vector<Output> Gradients(GraphContext& ctx, Output y,
       }
     }
 
-    auto rit = GradRegistry().find(op);
-    if (rit == GradRegistry().end()) {
+    const GradRow* row = FindGradRow(op);
+    if (row == nullptr) {
       throw StagingError("no gradient registered for op '" + op +
                          "' (node '" + node->name() + "')");
     }
-    std::vector<Output> in_grads = rit->second(ctx, node, out_grads);
+    std::vector<Output> in_grads = row->grad(ctx, node, out_grads);
     if (in_grads.size() != node->inputs().size()) {
       throw InternalError("gradient for '" + op +
                           "' returned wrong number of input grads");

@@ -1,5 +1,6 @@
 #include "eager/eager.h"
 
+#include <algorithm>
 #include <map>
 
 #include "obs/trace.h"
@@ -13,6 +14,8 @@
 
 namespace ag::eager {
 
+namespace vjp = autodiff::vjp;
+
 thread_local GradientTape* GradientTape::active_ = nullptr;
 
 GradientTape::GradientTape() {
@@ -23,14 +26,14 @@ GradientTape::GradientTape() {
 GradientTape::~GradientTape() { active_ = previous_; }
 
 ETensor GradientTape::Watch(const Tensor& t) {
-  const int id = Record({}, nullptr);
+  const int id = Record({}, nullptr, {});
   return ETensor(t, id);
 }
 
-int GradientTape::Record(
-    const std::vector<int>& input_ids,
-    std::function<std::vector<Tensor>(const Tensor&)> backward) {
-  entries_.push_back(Entry{input_ids, std::move(backward)});
+int GradientTape::Record(std::vector<int> input_ids,
+                         vjp::Rule<vjp::TensorAlgebra> rule,
+                         vjp::Forward<Tensor> forward) {
+  entries_.push_back(Entry{std::move(input_ids), rule, std::move(forward)});
   return static_cast<int>(entries_.size()) - 1;
 }
 
@@ -47,20 +50,18 @@ std::vector<Tensor> GradientTape::Gradient(
     auto git = grads.find(i);
     if (git == grads.end()) continue;
     const Entry& entry = entries_[static_cast<size_t>(i)];
-    if (!entry.backward) continue;  // watched leaf
-    std::vector<Tensor> input_grads = entry.backward(git->second);
-    if (input_grads.size() != entry.input_ids.size()) {
-      throw InternalError("tape backward returned wrong arity");
+    if (entry.rule == nullptr) continue;  // watched leaf
+    vjp::TensorAlgebra algebra;
+    std::vector<Tensor> input_grads =
+        entry.rule(algebra, entry.forward, git->second);
+    if (input_grads.size() > entry.input_ids.size()) {
+      throw InternalError("tape backward returned more gradients than inputs");
     }
     for (size_t k = 0; k < input_grads.size(); ++k) {
       const int id = entry.input_ids[k];
       if (id == kNoId) continue;
-      auto it = grads.find(id);
-      if (it == grads.end()) {
-        grads[id] = input_grads[k];
-      } else {
-        it->second = ag::Add(it->second, input_grads[k]);
-      }
+      auto [it, fresh] = grads.try_emplace(id, input_grads[k]);
+      if (!fresh) it->second = ag::Add(it->second, input_grads[k]);
     }
   }
 
@@ -68,290 +69,149 @@ std::vector<Tensor> GradientTape::Gradient(
   out.reserve(sources.size());
   for (const ETensor& s : sources) {
     auto it = s.tracked() ? grads.find(s.id) : grads.end();
-    if (it != grads.end()) {
-      out.push_back(it->second);
-    } else {
-      out.push_back(Tensor::Zeros(s.value.shape()));
-    }
+    out.push_back(it != grads.end() ? it->second
+                                    : Tensor::Zeros(s.value.shape()));
   }
   return out;
 }
 
 namespace {
 
-// Records a unary op if tracking is active.
-ETensor RecordUnary(const ETensor& a, Tensor value,
-                    std::function<Tensor(const Tensor&)> backward) {
+// Returns the forward result `forward.y`, recorded on the active tape with
+// `op` when some input is tracked. The entry keeps only the values the
+// rule reads. Only values the caller passes as ETensors can be tracked.
+ETensor Taped(const vjp::TensorVjp& op, const std::vector<ETensor>& inputs,
+              vjp::Forward<Tensor> forward) {
   GradientTape* tape = GradientTape::active();
-  if (tape == nullptr || !a.tracked()) return ETensor(std::move(value));
-  const int id =
-      tape->Record({a.id}, [backward = std::move(backward)](const Tensor& g) {
-        return std::vector<Tensor>{backward(g)};
-      });
-  return ETensor(std::move(value), id);
-}
-
-ETensor RecordBinary(
-    const ETensor& a, const ETensor& b, Tensor value,
-    std::function<std::vector<Tensor>(const Tensor&)> backward) {
-  GradientTape* tape = GradientTape::active();
-  if (tape == nullptr || (!a.tracked() && !b.tracked())) {
-    return ETensor(std::move(value));
+  const bool any_tracked =
+      std::any_of(inputs.begin(), inputs.end(),
+                  [](const ETensor& in) { return in.tracked(); });
+  if (tape == nullptr || !any_tracked) return ETensor(std::move(forward.y));
+  std::vector<int> ids;
+  ids.reserve(inputs.size());
+  for (const ETensor& in : inputs) {
+    ids.push_back(in.id);
+    if ((op.reads & vjp::kReadsX) != 0) forward.x.push_back(in.value);
   }
-  const int id = tape->Record({a.id, b.id}, std::move(backward));
-  return ETensor(std::move(value), id);
+  Tensor y = std::move(forward.y);
+  if ((op.reads & vjp::kReadsY) != 0) forward.y = y;
+  const int id = tape->Record(std::move(ids), op.rule, std::move(forward));
+  return ETensor(std::move(y), id);
 }
 
 }  // namespace
 
 ETensor Add(const ETensor& a, const ETensor& b) {
   AG_EAGER_TRACE("Add");
-  Tensor av = a.value;
-  Tensor bv = b.value;
-  return RecordBinary(a, b, ag::Add(av, bv), [av, bv](const Tensor& g) {
-    return std::vector<Tensor>{SumToShape(g, av.shape()),
-                               SumToShape(g, bv.shape())};
-  });
+  return Taped(vjp::kAdd, {a, b}, {.y = ag::Add(a.value, b.value)});
 }
 
 ETensor Sub(const ETensor& a, const ETensor& b) {
   AG_EAGER_TRACE("Sub");
-  Tensor av = a.value;
-  Tensor bv = b.value;
-  return RecordBinary(a, b, ag::Sub(av, bv), [av, bv](const Tensor& g) {
-    return std::vector<Tensor>{SumToShape(g, av.shape()),
-                               SumToShape(ag::Neg(g), bv.shape())};
-  });
+  return Taped(vjp::kSub, {a, b}, {.y = ag::Sub(a.value, b.value)});
 }
 
 ETensor Mul(const ETensor& a, const ETensor& b) {
   AG_EAGER_TRACE("Mul");
-  Tensor av = a.value;
-  Tensor bv = b.value;
-  return RecordBinary(a, b, ag::Mul(av, bv), [av, bv](const Tensor& g) {
-    return std::vector<Tensor>{SumToShape(ag::Mul(g, bv), av.shape()),
-                               SumToShape(ag::Mul(g, av), bv.shape())};
-  });
+  return Taped(vjp::kMul, {a, b}, {.y = ag::Mul(a.value, b.value)});
 }
 
 ETensor Div(const ETensor& a, const ETensor& b) {
   AG_EAGER_TRACE("Div");
-  Tensor av = a.value;
-  Tensor bv = b.value;
-  return RecordBinary(a, b, ag::Div(av, bv), [av, bv](const Tensor& g) {
-    Tensor ga = SumToShape(ag::Div(g, bv), av.shape());
-    Tensor gb = SumToShape(
-        ag::Neg(ag::Div(ag::Mul(g, av), ag::Mul(bv, bv))), bv.shape());
-    return std::vector<Tensor>{ga, gb};
-  });
+  return Taped(vjp::kDiv, {a, b}, {.y = ag::Div(a.value, b.value)});
 }
 
 ETensor Neg(const ETensor& a) {
   AG_EAGER_TRACE("Neg");
-  return RecordUnary(a, ag::Neg(a.value),
-                     [](const Tensor& g) { return ag::Neg(g); });
+  return Taped(vjp::kNeg, {a}, {.y = ag::Neg(a.value)});
 }
 
 ETensor MatMul(const ETensor& a, const ETensor& b) {
   AG_EAGER_TRACE("MatMul");
-  Tensor av = a.value;
-  Tensor bv = b.value;
-  return RecordBinary(a, b, ag::MatMul(av, bv), [av, bv](const Tensor& g) {
-    Tensor ga = ag::MatMul(g, ag::Transpose(bv, {1, 0}));
-    Tensor gb = ag::MatMul(ag::Transpose(av, {1, 0}), g);
-    return std::vector<Tensor>{ga, gb};
-  });
+  return Taped(vjp::kMatMul, {a, b}, {.y = ag::MatMul(a.value, b.value)});
 }
 
 ETensor Tanh(const ETensor& a) {
   AG_EAGER_TRACE("Tanh");
-  Tensor y = ag::Tanh(a.value);
-  return RecordUnary(a, y, [y](const Tensor& g) {
-    Tensor one = Tensor::Scalar(1.0f);
-    return ag::Mul(g, ag::Sub(one, ag::Mul(y, y)));
-  });
+  return Taped(vjp::kTanh, {a}, {.y = ag::Tanh(a.value)});
 }
 
 ETensor Sigmoid(const ETensor& a) {
   AG_EAGER_TRACE("Sigmoid");
-  Tensor y = ag::Sigmoid(a.value);
-  return RecordUnary(a, y, [y](const Tensor& g) {
-    Tensor one = Tensor::Scalar(1.0f);
-    return ag::Mul(g, ag::Mul(y, ag::Sub(one, y)));
-  });
+  return Taped(vjp::kSigmoid, {a}, {.y = ag::Sigmoid(a.value)});
 }
 
 ETensor Relu(const ETensor& a) {
   AG_EAGER_TRACE("Relu");
-  Tensor av = a.value;
-  return RecordUnary(a, ag::Relu(av), [av](const Tensor& g) {
-    return ag::Mul(g, ag::Greater(av, Tensor::Scalar(0.0f)));
-  });
+  return Taped(vjp::kRelu, {a}, {.y = ag::Relu(a.value)});
 }
 
 ETensor Exp(const ETensor& a) {
   AG_EAGER_TRACE("Exp");
-  Tensor y = ag::Exp(a.value);
-  return RecordUnary(a, y,
-                     [y](const Tensor& g) { return ag::Mul(g, y); });
+  return Taped(vjp::kExp, {a}, {.y = ag::Exp(a.value)});
 }
 
 ETensor Log(const ETensor& a) {
   AG_EAGER_TRACE("Log");
-  Tensor av = a.value;
-  return RecordUnary(a, ag::Log(av),
-                     [av](const Tensor& g) { return ag::Div(g, av); });
+  return Taped(vjp::kLog, {a}, {.y = ag::Log(a.value)});
 }
 
 ETensor Square(const ETensor& a) {
   AG_EAGER_TRACE("Square");
-  Tensor av = a.value;
-  return RecordUnary(a, ag::Square(av), [av](const Tensor& g) {
-    return ag::Mul(g, ag::Mul(Tensor::Scalar(2.0f), av));
-  });
+  return Taped(vjp::kSquare, {a}, {.y = ag::Square(a.value)});
 }
 
 ETensor Sqrt(const ETensor& a) {
   AG_EAGER_TRACE("Sqrt");
-  Tensor y = ag::Sqrt(a.value);
-  return RecordUnary(a, y, [y](const Tensor& g) {
-    return ag::Div(ag::Mul(Tensor::Scalar(0.5f), g), y);
-  });
+  return Taped(vjp::kSqrt, {a}, {.y = ag::Sqrt(a.value)});
 }
 
 ETensor ReduceSum(const ETensor& a, int axis, bool keepdims) {
   AG_EAGER_TRACE("ReduceSum");
-  Tensor av = a.value;
-  Tensor y = ag::ReduceSum(av, axis, keepdims);
-  return RecordUnary(a, y, [av, axis, keepdims](const Tensor& g) {
-    Tensor gg = g;
-    if (axis != kAllAxes && !keepdims) {
-      std::vector<int64_t> dims = gg.shape().dims();
-      int ax = axis < 0 ? axis + av.rank() : axis;
-      dims.insert(dims.begin() + ax, 1);
-      gg = gg.Reshaped(Shape(std::move(dims)));
-    }
-    return ag::Mul(Tensor::Ones(av.shape()), gg);
-  });
+  return Taped(vjp::kReduceSum, {a},
+               {.y = ag::ReduceSum(a.value, axis, keepdims),
+                .axis = axis,
+                .keepdims = keepdims});
 }
 
 ETensor ReduceMean(const ETensor& a, int axis, bool keepdims) {
   AG_EAGER_TRACE("ReduceMean");
-  Tensor av = a.value;
-  Tensor y = ag::ReduceMean(av, axis, keepdims);
-  const float count = axis == kAllAxes
-                          ? static_cast<float>(av.num_elements())
-                          : static_cast<float>(av.shape().dim(
-                                av.shape().ResolveAxis(axis)));
-  return RecordUnary(a, y, [av, axis, keepdims, count](const Tensor& g) {
-    Tensor gg = g;
-    if (axis != kAllAxes && !keepdims) {
-      std::vector<int64_t> dims = gg.shape().dims();
-      int ax = axis < 0 ? axis + av.rank() : axis;
-      dims.insert(dims.begin() + ax, 1);
-      gg = gg.Reshaped(Shape(std::move(dims)));
-    }
-    Tensor spread = ag::Mul(Tensor::Ones(av.shape()), gg);
-    return ag::Div(spread, Tensor::Scalar(count));
-  });
+  return Taped(vjp::kReduceMean, {a},
+               {.y = ag::ReduceMean(a.value, axis, keepdims),
+                .axis = axis,
+                .keepdims = keepdims});
 }
 
 ETensor Concat(const std::vector<ETensor>& parts, int axis) {
   AG_EAGER_TRACE("Concat");
   std::vector<Tensor> values;
   values.reserve(parts.size());
-  std::vector<int> ids;
-  bool any_tracked = false;
-  for (const ETensor& p : parts) {
-    values.push_back(p.value);
-    ids.push_back(p.id);
-    any_tracked = any_tracked || p.tracked();
-  }
-  Tensor y = ag::Concat(values, axis);
-  GradientTape* tape = GradientTape::active();
-  if (tape == nullptr || !any_tracked) return ETensor(std::move(y));
-  const int ax = values[0].shape().ResolveAxis(axis);
-  const int id = tape->Record(ids, [values, ax](const Tensor& g) {
-    // Split the gradient back into the operand extents along `ax`.
-    std::vector<Tensor> grads;
-    grads.reserve(values.size());
-    int64_t offset = 0;
-    const auto& gdims = g.shape().dims();
-    int64_t outer = 1;
-    int64_t inner = 1;
-    for (int i = 0; i < ax; ++i) outer *= gdims[static_cast<size_t>(i)];
-    for (size_t i = static_cast<size_t>(ax) + 1; i < gdims.size(); ++i) {
-      inner *= gdims[i];
-    }
-    const int64_t total_mid = gdims[static_cast<size_t>(ax)];
-    for (const Tensor& v : values) {
-      const int64_t mid = v.shape().dim(ax);
-      std::vector<float> out(static_cast<size_t>(outer * mid * inner));
-      for (int64_t o = 0; o < outer; ++o) {
-        const float* src = g.data() + (o * total_mid + offset) * inner;
-        std::copy(src, src + mid * inner, out.data() + o * mid * inner);
-      }
-      grads.push_back(
-          Tensor::FromVector(std::move(out), v.shape(), v.dtype()));
-      offset += mid;
-    }
-    return grads;
-  });
-  return ETensor(std::move(y), id);
+  for (const ETensor& p : parts) values.push_back(p.value);
+  return Taped(vjp::kConcat, parts,
+               {.y = ag::Concat(values, axis), .axis = axis});
 }
 
 ETensor Gather(const ETensor& params, const Tensor& indices) {
   AG_EAGER_TRACE("Gather");
-  Tensor pv = params.value;
-  Tensor y = ag::Gather(pv, indices);
-  return RecordUnary(params, y, [pv, indices](const Tensor& g) {
-    const int64_t rows = pv.shape().dim(0);
-    const int64_t inner = pv.num_elements() / rows;
-    std::vector<float> out(static_cast<size_t>(pv.num_elements()), 0.0f);
-    for (int64_t i = 0; i < indices.num_elements(); ++i) {
-      const auto row = static_cast<int64_t>(indices.at(i));
-      for (int64_t k = 0; k < inner; ++k) {
-        out[static_cast<size_t>(row * inner + k)] += g.at(i * inner + k);
-      }
-    }
-    return Tensor::FromVector(std::move(out), pv.shape());
-  });
+  return Taped(vjp::kGather, {params, indices},
+               {.y = ag::Gather(params.value, indices)});
 }
 
 ETensor Reshape(const ETensor& a, Shape shape) {
   AG_EAGER_TRACE("Reshape");
-  Tensor av = a.value;
-  Tensor y = ag::Reshape(av, shape);
-  return RecordUnary(a, y, [av](const Tensor& g) {
-    return g.Reshaped(av.shape());
-  });
+  return Taped(vjp::kReshape, {a}, {.y = ag::Reshape(a.value, shape)});
 }
 
 ETensor SliceRows(const ETensor& a, int64_t start, int64_t len) {
   AG_EAGER_TRACE("SliceRows");
-  Tensor av = a.value;
-  const int64_t inner = av.num_elements() / av.shape().dim(0);
-  std::vector<float> out(av.data() + start * inner,
-                         av.data() + (start + len) * inner);
-  std::vector<int64_t> dims = av.shape().dims();
-  dims[0] = len;
-  Tensor y = Tensor::FromVector(std::move(out), Shape(std::move(dims)),
-                                av.dtype());
-  return RecordUnary(a, y, [av, start, len, inner](const Tensor& g) {
-    std::vector<float> full(static_cast<size_t>(av.num_elements()), 0.0f);
-    std::copy(g.data(), g.data() + len * inner,
-              full.data() + start * inner);
-    return Tensor::FromVector(std::move(full), av.shape());
-  });
+  return Taped(vjp::kSliceRows, {a},
+               {.y = ag::SliceAxis(a.value, 0, start, len), .start = start});
 }
 
 ETensor SoftmaxCrossEntropy(const ETensor& logits, const Tensor& labels) {
   AG_EAGER_TRACE("SoftmaxCrossEntropy");
-  Tensor lv = logits.value;
-  Tensor y = ag::SoftmaxCrossEntropy(lv, labels);
-  return RecordUnary(logits, y, [lv, labels](const Tensor& g) {
-    return ag::Mul(ag::SoftmaxCrossEntropyGrad(lv, labels), g);
-  });
+  return Taped(vjp::kSoftmaxCrossEntropy, {logits, labels},
+               {.y = ag::SoftmaxCrossEntropy(logits.value, labels)});
 }
 
 }  // namespace ag::eager

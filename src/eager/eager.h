@@ -2,15 +2,16 @@
 // reverse-mode autodiff.
 //
 // Every op executes immediately on concrete tensors; when a GradientTape
-// is active and an operand is watched, the op records a backward closure.
+// is active and an operand is watched, the op records its shared VJP rule
+// (autodiff/vjp.h) with the values that rule reads.
 // This is the baseline the paper's evaluation compares against: per-op
 // dispatch overhead on every call, and a fresh trace on every step.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
+#include "autodiff/vjp.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 
@@ -48,16 +49,19 @@ class GradientTape {
       const ETensor& target, const std::vector<ETensor>& sources);
 
   // ---- used by op implementations ----
-  // Records an op: `backward(upstream)` returns per-input gradients.
-  int Record(const std::vector<int>& input_ids,
-             std::function<std::vector<Tensor>(const Tensor&)> backward);
+  // Records an op whose backward is `rule` (vjp.h) over `forward`; the
+  // rule's gradient k flows to input_ids[k].
+  int Record(std::vector<int> input_ids,
+             autodiff::vjp::Rule<autodiff::vjp::TensorAlgebra> rule,
+             autodiff::vjp::Forward<Tensor> forward);
 
   static GradientTape* active() { return active_; }
 
  private:
   struct Entry {
     std::vector<int> input_ids;
-    std::function<std::vector<Tensor>(const Tensor&)> backward;
+    autodiff::vjp::Rule<autodiff::vjp::TensorAlgebra> rule;  // null: leaf
+    autodiff::vjp::Forward<Tensor> forward;
   };
   std::vector<Entry> entries_;  // entry i produced tensor id i
   static thread_local GradientTape* active_;

@@ -320,12 +320,8 @@ const std::unordered_map<std::string, Kernel>& Registry() {
 
     reg["ExpandDims"] = [](const Node& n,
                            std::vector<RuntimeValue>& in) {
-      const Tensor& t = AsTensor(in[0]);
-      auto axis = static_cast<int>(n.attr<int64_t>("axis"));
-      std::vector<int64_t> dims = t.shape().dims();
-      if (axis < 0) axis += static_cast<int>(dims.size()) + 1;
-      dims.insert(dims.begin() + axis, 1);
-      return One(t.Reshaped(Shape(std::move(dims))));
+      return One(ExpandDims(AsTensor(in[0]),
+                            static_cast<int>(n.attr<int64_t>("axis"))));
     };
     // Reshapes input 0 to the shape of input 1 (same element count).
     reg["ReshapeLike"] = [](const Node&,
@@ -359,13 +355,7 @@ const std::unordered_map<std::string, Kernel>& Registry() {
       if (x.rank() < 1 || start < 0 || start + len > x.shape().dim(0)) {
         throw RuntimeError("SliceRows out of range");
       }
-      const int64_t inner = x.num_elements() / x.shape().dim(0);
-      std::vector<float> out(x.data() + start * inner,
-                             x.data() + (start + len) * inner);
-      std::vector<int64_t> dims = x.shape().dims();
-      dims[0] = len;
-      return One(Tensor::FromVector(std::move(out), Shape(std::move(dims)),
-                                    x.dtype()));
+      return One(SliceAxis(x, 0, start, len));
     };
     reg["Gather"] = Binary(&Gather);
     reg["Where"] = [](const Node&, std::vector<RuntimeValue>& in) {

@@ -18,8 +18,10 @@ namespace ag::graph {
 
 // ---- The op table ----------------------------------------------------
 // One row per graph op (ops.cc) holds every fact other layers need about
-// it. Kernels and gradients stay name-keyed in their own layers, above
-// ag_graph; tests/op_table_test.cc pins both to the table.
+// it. Kernels (exec/kernels.cc) and the gradient table
+// (autodiff/graph_grad.cc, whose shared rows are autodiff/vjp.h rules)
+// stay name-keyed in their own layers, above ag_graph;
+// tests/op_table_test.cc pins both to the table.
 
 // How a plan step executes. exec::Session::Plan::Kind aliases it and the
 // byte values are the .agc plan encoding: append, never reorder.

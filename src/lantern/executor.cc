@@ -4,6 +4,7 @@
 #include <functional>
 #include <optional>
 
+#include "autodiff/vjp.h"
 #include "runtime/cancellation.h"
 #include "runtime/parallel_for.h"
 #include "support/error.h"
@@ -25,19 +26,48 @@ const LTreePtr& AsTreeL(const LValue& v) {
 
 namespace {
 
-// Scatter-add for the Gather gradient: out[row(index)] += grad.
-Tensor ScatterAddRow(const Tensor& acc, int64_t row, const Tensor& grad) {
-  const int64_t inner = acc.num_elements() / acc.shape().dim(0);
-  std::vector<float> out(acc.data(), acc.data() + acc.num_elements());
-  for (int64_t i = 0; i < inner; ++i) {
-    out[static_cast<size_t>(row * inner + i)] += grad.at(i);
+namespace vjp = autodiff::vjp;
+
+// The shared backward rule (autodiff/vjp.h) of each differentiable LOp;
+// none for leaves, comparisons, tree accessors and the control ops,
+// whose gradients the backward pass routes itself.
+vjp::TensorVjp RuleFor(LOp op) {
+  switch (op) {
+    case LOp::kAdd: return vjp::kAdd;
+    case LOp::kSub: return vjp::kSub;
+    case LOp::kMul: return vjp::kMul;
+    case LOp::kDiv: return vjp::kDiv;
+    case LOp::kNeg: return vjp::kNeg;
+    case LOp::kTanh: return vjp::kTanh;
+    case LOp::kSigmoid: return vjp::kSigmoid;
+    case LOp::kRelu: return vjp::kRelu;
+    case LOp::kExp: return vjp::kExp;
+    case LOp::kLog: return vjp::kLog;
+    case LOp::kSquare: return vjp::kSquare;
+    case LOp::kMatMul: return vjp::kMatMul;
+    case LOp::kConcat0: return vjp::kConcat;
+    case LOp::kSlice0: return vjp::kSliceRows;
+    case LOp::kReshape: return vjp::kReshape;
+    case LOp::kReduceSum: return vjp::kReduceSum;
+    case LOp::kGather: return vjp::kGather;
+    case LOp::kConst:
+    case LOp::kParam:
+    case LOp::kGlobal:
+    case LOp::kGreater:
+    case LOp::kLess:
+    case LOp::kEq:
+    case LOp::kNot:
+    case LOp::kTreeIsEmpty:
+    case LOp::kTreeLeft:
+    case LOp::kTreeRight:
+    case LOp::kTreeValue:
+    case LOp::kTreeLabel:
+    case LOp::kIf:
+    case LOp::kCall:
+      break;
   }
-  return Tensor::FromVector(std::move(out), acc.shape(), acc.dtype());
+  return {};
 }
-
-}  // namespace
-
-namespace {
 
 Block CloneBlock(const Block& src) {
   Block out;
@@ -382,18 +412,9 @@ void Executor::ForwardBlock(const Block& block, Frame& frame) {
       case LOp::kConcat0:
         frame.slots[id] = Concat({t(0), t(1)}, 0);
         break;
-      case LOp::kSlice0: {
-        const Tensor& x = t(0);
-        const int64_t inner = x.num_elements() / x.shape().dim(0);
-        std::vector<float> out(
-            x.data() + b.slice_start * inner,
-            x.data() + (b.slice_start + b.slice_len) * inner);
-        std::vector<int64_t> dims = x.shape().dims();
-        dims[0] = b.slice_len;
-        frame.slots[id] =
-            Tensor::FromVector(std::move(out), Shape(std::move(dims)));
+      case LOp::kSlice0:
+        frame.slots[id] = SliceAxis(t(0), 0, b.slice_start, b.slice_len);
         break;
-      }
       case LOp::kReduceSum: frame.slots[id] = ReduceSum(t(0)); break;
       case LOp::kReshape: {
         std::vector<int64_t> dims(b.reshape_dims.begin(),
@@ -520,6 +541,7 @@ void Executor::BackwardFunction(Frame& frame) {
 }
 
 void Executor::BackwardBlock(const Block& block, Frame& frame) {
+  vjp::Forward<Tensor> forward;  // reused: one input vector per block
   for (auto it = block.bindings.rbegin(); it != block.bindings.rend();
        ++it) {
     if (cancel_ != nullptr) {
@@ -527,206 +549,79 @@ void Executor::BackwardBlock(const Block& block, Frame& frame) {
     }
     const Binding& b = *it;
     const auto id = static_cast<size_t>(b.id);
-    if (b.op == LOp::kIf) {
-      // Multi-output conditionals: route every output grad into the taken
-      // branch's corresponding result, then run the branch backward once.
+    if (b.op == LOp::kIf || b.op == LOp::kCall) {
+      // Seed the taken branch's (or the callee's) results with the
+      // binding's output grads and run it backward once; a call then
+      // routes its parameter grads to its arguments. A single-output
+      // binding is its own output and its block's `result`.
+      const bool call = b.op == LOp::kCall;
+      Frame& inner = call ? *frame.CallFrame(b.id) : frame;
+      const Block& body = call                ? inner.fn->body
+                          : frame.Taken(b.id) ? *b.then_block
+                                              : *b.else_block;
+      const bool single = body.results.empty();
       bool any = false;
-      const bool taken = frame.Taken(b.id);
-      const Block& branch = taken ? *b.then_block : *b.else_block;
-      if (!branch.results.empty()) {
-        for (size_t j = 0; j < b.out_ids.size(); ++j) {
-          const auto oj = static_cast<size_t>(b.out_ids[j]);
-          if (frame.has_grad.empty() || !frame.has_grad[oj]) continue;
-          Accumulate(frame, branch.results[j], frame.grads[oj]);
-          any = true;
-        }
-        if (any) BackwardBlock(branch, frame);
+      for (size_t j = 0; j < (single ? 1 : body.results.size()); ++j) {
+        const auto oj = static_cast<size_t>(single ? b.id : b.out_ids[j]);
+        if (frame.has_grad.empty() || !frame.has_grad[oj]) continue;
+        Accumulate(inner, single ? body.result : body.results[j],
+                   frame.grads[oj]);
+        any = true;
+      }
+      if (!any) continue;
+      if (!call) {
+        BackwardBlock(body, frame);
         continue;
       }
-    }
-    if (b.op == LOp::kCall) {
-      const LFunction& callee = program_->function(b.callee);
-      if (!callee.body.results.empty()) {
-        // Multi-output call: seed each child result grad, run the child
-        // backward once, route param grads to the call arguments.
-        Frame& child = *frame.CallFrame(b.id);
-        bool any = false;
-        for (size_t j = 0; j < b.out_ids.size(); ++j) {
-          const auto oj = static_cast<size_t>(b.out_ids[j]);
-          if (frame.has_grad.empty() || !frame.has_grad[oj]) continue;
-          Accumulate(child, callee.body.results[j], frame.grads[oj]);
-          any = true;
+      BackwardFunction(inner);
+      if (inner.has_grad.empty()) continue;
+      for (const Binding& pb : body.bindings) {
+        if (pb.op != LOp::kParam) continue;
+        const auto pi = static_cast<size_t>(pb.param_index);
+        if (inner.fn->param_is_tree[pi]) continue;
+        if (inner.has_grad[static_cast<size_t>(pb.id)]) {
+          Accumulate(frame, b.inputs[pi],
+                     inner.grads[static_cast<size_t>(pb.id)]);
         }
-        if (!any) continue;
-        BackwardFunction(child);
-        for (const Binding& pb : callee.body.bindings) {
-          if (pb.op != LOp::kParam) continue;
-          const auto pi = static_cast<size_t>(pb.param_index);
-          if (callee.param_is_tree[pi]) continue;
-          if (child.has_grad.empty()) continue;
-          if (child.has_grad[static_cast<size_t>(pb.id)]) {
-            Accumulate(frame, b.inputs[pi],
-                       child.grads[static_cast<size_t>(pb.id)]);
-          }
-        }
-        continue;
       }
+      continue;
     }
+    const vjp::TensorVjp op = RuleFor(b.op);
+    if (op.rule == nullptr) continue;
     if (frame.has_grad.empty() || !frame.has_grad[id]) continue;
     const Tensor g = frame.grads[id];
-    auto in = [&frame, &b](size_t i) -> const LValue& {
-      return frame.slots[static_cast<size_t>(b.inputs[i])];
+    auto t = [&frame, &b](size_t i) -> const Tensor& {
+      return AsTensorL(frame.slots[static_cast<size_t>(b.inputs[i])]);
     };
-    auto t = [&in](size_t i) -> const Tensor& { return AsTensorL(in(i)); };
-    auto acc = [this, &frame, &b](size_t i, const Tensor& grad) {
-      Accumulate(frame, b.inputs[i], grad);
-    };
-
-    switch (b.op) {
-      case LOp::kAdd:
-        acc(0, SumToShape(g, t(0).shape()));
-        acc(1, SumToShape(g, t(1).shape()));
-        break;
-      case LOp::kSub:
-        acc(0, SumToShape(g, t(0).shape()));
-        acc(1, SumToShape(Neg(g), t(1).shape()));
-        break;
-      case LOp::kMul:
-        acc(0, SumToShape(Mul(g, t(1)), t(0).shape()));
-        acc(1, SumToShape(Mul(g, t(0)), t(1).shape()));
-        break;
-      case LOp::kDiv:
-        acc(0, SumToShape(Div(g, t(1)), t(0).shape()));
-        acc(1, SumToShape(Neg(Div(Mul(g, t(0)), Mul(t(1), t(1)))),
-                          t(1).shape()));
-        break;
-      case LOp::kNeg:
-        acc(0, Neg(g));
-        break;
-      case LOp::kTanh: {
-        const Tensor& y = AsTensorL(frame.slots[id]);
-        acc(0, Mul(g, Sub(Tensor::Scalar(1.0f), Mul(y, y))));
-        break;
+    if (b.op == LOp::kGather) {
+      const int table_global =
+          (*frame.global_of)[static_cast<size_t>(b.inputs[0])];
+      if (table_global >= 0) {
+        // Sparse in-place scatter into the shared accumulator: O(rows
+        // touched), not O(table) — this is what the generated code's
+        // mutable gradient cells buy.
+        const Tensor& table = t(0);
+        vjp::AddRowsAt(
+            global_accums_[static_cast<size_t>(table_global)].data(),
+            table.num_elements() / table.shape().dim(0), t(1), g);
+        continue;
       }
-      case LOp::kSigmoid: {
-        const Tensor& y = AsTensorL(frame.slots[id]);
-        acc(0, Mul(g, Mul(y, Sub(Tensor::Scalar(1.0f), y))));
-        break;
-      }
-      case LOp::kRelu:
-        acc(0, Mul(g, Greater(t(0), Tensor::Scalar(0.0f))));
-        break;
-      case LOp::kExp:
-        acc(0, Mul(g, AsTensorL(frame.slots[id])));
-        break;
-      case LOp::kLog:
-        acc(0, Div(g, t(0)));
-        break;
-      case LOp::kSquare:
-        acc(0, Mul(g, Mul(Tensor::Scalar(2.0f), t(0))));
-        break;
-      case LOp::kMatMul:
-        acc(0, MatMul(g, Transpose(t(1), {1, 0})));
-        acc(1, MatMul(Transpose(t(0), {1, 0}), g));
-        break;
-      case LOp::kConcat0: {
-        const int64_t n0 = t(0).shape().dim(0);
-        const int64_t n1 = t(1).shape().dim(0);
-        const int64_t inner = t(0).num_elements() / n0;
-        std::vector<float> g0(g.data(), g.data() + n0 * inner);
-        std::vector<float> g1(g.data() + n0 * inner,
-                              g.data() + (n0 + n1) * inner);
-        acc(0, Tensor::FromVector(std::move(g0), t(0).shape()));
-        acc(1, Tensor::FromVector(std::move(g1), t(1).shape()));
-        break;
-      }
-      case LOp::kSlice0: {
-        const Tensor& x = t(0);
-        const int64_t inner = x.num_elements() / x.shape().dim(0);
-        std::vector<float> out(static_cast<size_t>(x.num_elements()), 0.0f);
-        std::copy(g.data(), g.data() + b.slice_len * inner,
-                  out.data() + b.slice_start * inner);
-        acc(0, Tensor::FromVector(std::move(out), x.shape()));
-        break;
-      }
-      case LOp::kReduceSum:
-        acc(0, Mul(Tensor::Ones(t(0).shape()), g));
-        break;
-      case LOp::kReshape:
-        acc(0, g.Reshaped(t(0).shape()));
-        break;
-      case LOp::kGather: {
-        const Tensor& indices = t(1);
-        const int64_t inner = t(0).num_elements() / t(0).shape().dim(0);
-        const int table_global =
-            (*frame.global_of)[static_cast<size_t>(b.inputs[0])];
-        if (table_global >= 0) {
-          // Sparse in-place scatter into the shared accumulator: O(rows
-          // touched), not O(table) — this is what the generated code's
-          // mutable gradient cells buy.
-          std::vector<float>& acc =
-              global_accums_[static_cast<size_t>(table_global)];
-          for (int64_t i = 0; i < indices.num_elements(); ++i) {
-            const auto row = static_cast<int64_t>(indices.at(i));
-            for (int64_t k = 0; k < inner; ++k) {
-              acc[static_cast<size_t>(row * inner + k)] +=
-                  g.at(i * inner + k);
-            }
-          }
-          break;
-        }
-        // Dense scatter-add into a zeros-like of the gathered table.
-        Tensor table_grad = frame.has_grad[static_cast<size_t>(b.inputs[0])]
-                                ? frame.grads[static_cast<size_t>(b.inputs[0])]
-                                : Tensor::Zeros(t(0).shape());
-        for (int64_t i = 0; i < indices.num_elements(); ++i) {
-          const auto row = static_cast<int64_t>(indices.at(i));
-          std::vector<float> sub(g.data() + i * inner,
-                                 g.data() + (i + 1) * inner);
-          table_grad = ScatterAddRow(
-              table_grad, row,
-              Tensor::FromVector(std::move(sub), Shape({inner})));
-        }
-        frame.grads[static_cast<size_t>(b.inputs[0])] = table_grad;
-        frame.has_grad[static_cast<size_t>(b.inputs[0])] = true;
-        break;
-      }
-      case LOp::kIf: {
-        const bool taken = frame.Taken(b.id);
-        const Block& branch = taken ? *b.then_block : *b.else_block;
-        Accumulate(frame, branch.result, g);
-        BackwardBlock(branch, frame);
-        break;
-      }
-      case LOp::kCall: {
-        Frame& child = *frame.CallFrame(b.id);
-        const LFunction& callee = *child.fn;
-        Accumulate(child, callee.body.result, g);
-        BackwardFunction(child);
-        // Route parameter grads back into the call arguments.
-        for (const Binding& pb : callee.body.bindings) {
-          if (pb.op != LOp::kParam) continue;
-          const auto pi = static_cast<size_t>(pb.param_index);
-          if (callee.param_is_tree[pi]) continue;
-          if (child.has_grad[static_cast<size_t>(pb.id)]) {
-            acc(pi, child.grads[static_cast<size_t>(pb.id)]);
-          }
-        }
-        break;
-      }
-      case LOp::kConst:
-      case LOp::kParam:
-      case LOp::kGlobal:
-      case LOp::kGreater:
-      case LOp::kLess:
-      case LOp::kEq:
-      case LOp::kNot:
-      case LOp::kTreeIsEmpty:
-      case LOp::kTreeLeft:
-      case LOp::kTreeRight:
-      case LOp::kTreeValue:
-      case LOp::kTreeLabel:
-        break;  // leaves / non-differentiable
+    }
+    forward.x.clear();
+    if ((op.reads & vjp::kReadsX) != 0) {
+      for (size_t i = 0; i < b.inputs.size(); ++i) forward.x.push_back(t(i));
+    }
+    forward.y = (op.reads & vjp::kReadsY) != 0 ? AsTensorL(frame.slots[id])
+                                                : Tensor();
+    forward.axis = b.op == LOp::kConcat0 ? 0 : kAllAxes;
+    forward.start = b.slice_start;
+    vjp::TensorAlgebra algebra;
+    const std::vector<Tensor> grads = op.rule(algebra, forward, g);
+    if (grads.size() > b.inputs.size()) {
+      throw InternalError("Lantern backward: more gradients than inputs");
+    }
+    for (size_t i = 0; i < grads.size(); ++i) {
+      Accumulate(frame, b.inputs[i], grads[i]);
     }
   }
 }

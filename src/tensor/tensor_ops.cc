@@ -702,6 +702,13 @@ Tensor Reshape(const Tensor& a, Shape shape) {
   return a.Reshaped(Shape(std::move(dims)));
 }
 
+Tensor ExpandDims(const Tensor& a, int axis) {
+  std::vector<int64_t> dims = a.shape().dims();
+  if (axis < 0) axis += a.rank() + 1;
+  dims.insert(dims.begin() + axis, 1);
+  return a.Reshaped(Shape(std::move(dims)));
+}
+
 Tensor Transpose(const Tensor& a, std::vector<int> perm) {
   if (static_cast<int>(perm.size()) != a.rank()) {
     throw ValueError("Transpose: perm size != rank");
@@ -767,6 +774,31 @@ Tensor Concat(const std::vector<Tensor>& parts, int axis) {
     }
   }
   return out_t;
+}
+
+Tensor SliceAxis(const Tensor& a, int axis, int64_t start, int64_t len) {
+  const int ax = a.shape().ResolveAxis(axis);
+  std::vector<int64_t> dims = a.shape().dims();
+  const int64_t total = dims[static_cast<size_t>(ax)];
+  if (start < 0 || len < 0 || start + len > total) {
+    throw ValueError("SliceAxis: [" + std::to_string(start) + ", " +
+                     std::to_string(start + len) + ") is out of range for " +
+                     a.shape().str());
+  }
+  int64_t outer = 1;
+  int64_t inner = 1;
+  for (int i = 0; i < ax; ++i) outer *= dims[static_cast<size_t>(i)];
+  for (size_t i = static_cast<size_t>(ax) + 1; i < dims.size(); ++i) {
+    inner *= dims[i];
+  }
+  std::vector<float> out(static_cast<size_t>(outer * len * inner));
+  for (int64_t o = 0; o < outer; ++o) {
+    const float* src = a.data() + (o * total + start) * inner;
+    std::copy(src, src + len * inner, out.data() + o * len * inner);
+  }
+  dims[static_cast<size_t>(ax)] = len;
+  return Tensor::FromVector(std::move(out), Shape(std::move(dims)),
+                            a.dtype());
 }
 
 Tensor Stack(const std::vector<Tensor>& parts) {

@@ -157,9 +157,15 @@ struct FusedProgram {
 
 // ---- Shape manipulation ----
 [[nodiscard]] Tensor Reshape(const Tensor& a, Shape shape);
+// Inserts a length-1 axis at `axis` (negative counts from the end).
+[[nodiscard]] Tensor ExpandDims(const Tensor& a, int axis);
 // General axis permutation, e.g. Transpose(x, {1, 0, 2}).
 [[nodiscard]] Tensor Transpose(const Tensor& a, std::vector<int> perm);
 [[nodiscard]] Tensor Concat(const std::vector<Tensor>& parts, int axis);
+// a[..., start:start+len, ...] along `axis` (Concat's inverse); throws
+// ValueError when the range leaves the axis.
+[[nodiscard]] Tensor SliceAxis(const Tensor& a, int axis, int64_t start,
+                               int64_t len);
 // Stacks equal-shaped tensors along a new leading axis.
 [[nodiscard]] Tensor Stack(const std::vector<Tensor>& parts);
 // Splits along axis 0 into shape.dim(0) tensors.

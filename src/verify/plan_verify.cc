@@ -433,28 +433,26 @@ std::vector<VerifyDiagnostic> VerifyPlan(const Plan& plan,
   }
 
   // ---- AGV214: same-variable steps are totally ordered ----------------
-  if (options.race_audit) {
-    std::map<std::string, std::vector<int>> var_steps;
-    for (int i = 0; i < num_steps; ++i) {
-      const Plan::Step& s = plan.steps[static_cast<size_t>(i)];
-      if (s.node == nullptr) continue;
-      std::set<std::string> vars;
-      NodeVarTouchesCached(*s.node, subgraph_cache, &vars);
-      for (const std::string& v : vars) var_steps[v].push_back(i);
-    }
-    for (const auto& [var, steps] : var_steps) {
-      for (size_t k = 1; k < steps.size(); ++k) {
-        // Step lists are in plan order; pairwise-consecutive
-        // reachability gives a total order by transitivity.
-        if (!reach.Reaches(steps[k - 1], steps[k])) {
-          Add(&out, "AGV214",
-              StepRef(plan, steps[k - 1]) + " and " +
-                  StepRef(plan, steps[k]) + " both touch variable '" +
-                  var + "' but no successor path orders them",
-              StepRef(plan, steps[k]),
-              "the parallel scheduler may interleave unordered "
-              "same-variable steps: a schedule race");
-        }
+  std::map<std::string, std::vector<int>> var_steps;
+  for (int i = 0; i < num_steps; ++i) {
+    const Plan::Step& s = plan.steps[static_cast<size_t>(i)];
+    if (s.node == nullptr) continue;
+    std::set<std::string> vars;
+    NodeVarTouchesCached(*s.node, subgraph_cache, &vars);
+    for (const std::string& v : vars) var_steps[v].push_back(i);
+  }
+  for (const auto& [var, steps] : var_steps) {
+    for (size_t k = 1; k < steps.size(); ++k) {
+      // Step lists are in plan order; pairwise-consecutive
+      // reachability gives a total order by transitivity.
+      if (!reach.Reaches(steps[k - 1], steps[k])) {
+        Add(&out, "AGV214",
+            StepRef(plan, steps[k - 1]) + " and " +
+                StepRef(plan, steps[k]) + " both touch variable '" +
+                var + "' but no successor path orders them",
+            StepRef(plan, steps[k]),
+            "the parallel scheduler may interleave unordered "
+            "same-variable steps: a schedule race");
       }
     }
   }

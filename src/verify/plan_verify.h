@@ -62,8 +62,6 @@ struct PlanVerifyOptions {
   // Whether arg references (InputRef.step == -1) are legal — true for
   // FuncGraph sub-plans, false for top-level plans.
   bool allow_args = true;
-  // AGV214: audit that same-variable steps are totally ordered.
-  bool race_audit = true;
 };
 
 // Verifies one compiled plan: AGV201-AGV214. Findings are ordered by

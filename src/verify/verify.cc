@@ -144,7 +144,6 @@ void CheckAcyclic(const GraphScope& scope, const std::string& path,
 
 void VerifyGraphInto(const Graph& g, std::vector<const GraphScope*>* ancestors,
                      const std::string& path,
-                     const GraphVerifyOptions& options,
                      std::unordered_set<const Graph*>* visited,
                      std::vector<VerifyDiagnostic>* out);
 
@@ -265,7 +264,6 @@ DType ReturnDtype(const Output& r) {
 // recursion into the branches.
 void CheckCond(const Node& node, const GraphScope& scope,
                std::vector<const GraphScope*>* ancestors, const std::string& path,
-               const GraphVerifyOptions& options,
                std::unordered_set<const Graph*>* visited,
                std::vector<VerifyDiagnostic>* out) {
   auto then_g = std::dynamic_pointer_cast<FuncGraph>(
@@ -296,8 +294,7 @@ void CheckCond(const Node& node, const GraphScope& scope,
         "the executor splits trailing inputs by these counts; a mismatch "
         "feeds branches the wrong values");
   }
-  if (options.check_dtypes && !node.inputs().empty() &&
-      node.inputs()[0].valid() &&
+  if (!node.inputs().empty() && node.inputs()[0].valid() &&
       scope.nodes.count(node.inputs()[0].node) > 0 &&
       ReturnDtype(node.inputs()[0]) != DType::kBool) {
     Add(out, "AGV104",
@@ -323,7 +320,7 @@ void CheckCond(const Node& node, const GraphScope& scope,
         "Cond node has " + std::to_string(node.num_outputs()) +
             " output(s) but its branches return " + std::to_string(n_then),
         Where(node, path));
-  } else if (options.check_dtypes) {
+  } else {
     for (size_t i = 0; i < n_then; ++i) {
       const Output& t = then_g->returns[i];
       const Output& e = else_g->returns[i];
@@ -351,18 +348,15 @@ void CheckCond(const Node& node, const GraphScope& scope,
     }
   }
   VerifyGraphInto(*then_g, ancestors,
-                  "then_branch of '" + node.name() + "'", options, visited,
-                  out);
+                  "then_branch of '" + node.name() + "'", visited, out);
   VerifyGraphInto(*else_g, ancestors,
-                  "else_branch of '" + node.name() + "'", options, visited,
-                  out);
+                  "else_branch of '" + node.name() + "'", visited, out);
 }
 
 // While call-site / loop-signature checks (AGV103/AGV105) and recursion
 // into cond/body.
 void CheckWhile(const Node& node, const GraphScope& scope,
                 std::vector<const GraphScope*>* ancestors, const std::string& path,
-                const GraphVerifyOptions& options,
                 std::unordered_set<const Graph*>* visited,
                 std::vector<VerifyDiagnostic>* out) {
   auto cond_g =
@@ -412,7 +406,7 @@ void CheckWhile(const Node& node, const GraphScope& scope,
         "While condition returns " + std::to_string(cond_g->returns.size()) +
             " value(s), expected a single bool",
         Where(node, path));
-  } else if (options.check_dtypes) {
+  } else {
     const Output& test = cond_g->returns[0];
     if (test.node != nullptr && cond_scope.nodes.count(test.node) > 0 &&
         ReturnDtype(test) != DType::kBool) {
@@ -428,7 +422,7 @@ void CheckWhile(const Node& node, const GraphScope& scope,
             " value(s) for " + std::to_string(n) + " loop var(s)",
         Where(node, path),
         "each iteration must produce a value for every loop variable");
-  } else if (options.check_dtypes) {
+  } else {
     for (int64_t i = 0; i < n; ++i) {
       const Output& next = body_g->returns[static_cast<size_t>(i)];
       if (next.node == nullptr || body_scope.nodes.count(next.node) == 0) {
@@ -460,14 +454,13 @@ void CheckWhile(const Node& node, const GraphScope& scope,
     }
   }
   VerifyGraphInto(*cond_g, ancestors, "cond of '" + node.name() + "'",
-                  options, visited, out);
+                  visited, out);
   VerifyGraphInto(*body_g, ancestors, "body of '" + node.name() + "'",
-                  options, visited, out);
+                  visited, out);
 }
 
 void VerifyGraphInto(const Graph& g, std::vector<const GraphScope*>* ancestors,
                      const std::string& path,
-                     const GraphVerifyOptions& options,
                      std::unordered_set<const Graph*>* visited,
                      std::vector<VerifyDiagnostic>* out) {
   if (!visited->insert(&g).second) return;  // shared subgraph: once is enough
@@ -498,7 +491,7 @@ void VerifyGraphInto(const Graph& g, std::vector<const GraphScope*>* ancestors,
       continue;
     }
 
-    if (options.check_dtypes && node.op() == "Const") {
+    if (node.op() == "Const") {
       auto it = node.attrs().find("value");
       const Tensor* value =
           it != node.attrs().end() ? std::get_if<Tensor>(&it->second)
@@ -514,7 +507,7 @@ void VerifyGraphInto(const Graph& g, std::vector<const GraphScope*>* ancestors,
                 std::string(DTypeName(value->dtype())),
             Where(node, path));
       }
-    } else if (options.check_dtypes && inputs_ok &&
+    } else if (inputs_ok &&
                graph::InferredDtypeIsAuthoritative(node.op())) {
       const DType expect =
           graph::InferDtype(node.op(), node.inputs(), node.attrs());
@@ -568,11 +561,11 @@ void VerifyGraphInto(const Graph& g, std::vector<const GraphScope*>* ancestors,
 
     if (node.op() == "Cond") {
       ancestors->push_back(&scope);
-      CheckCond(node, scope, ancestors, path, options, visited, out);
+      CheckCond(node, scope, ancestors, path, visited, out);
       ancestors->pop_back();
     } else if (node.op() == "While") {
       ancestors->push_back(&scope);
-      CheckWhile(node, scope, ancestors, path, options, visited, out);
+      CheckWhile(node, scope, ancestors, path, visited, out);
       ancestors->pop_back();
     } else {
       // Any other op carrying subgraph attrs still gets recursed into so
@@ -581,9 +574,8 @@ void VerifyGraphInto(const Graph& g, std::vector<const GraphScope*>* ancestors,
         const auto* sub = std::get_if<std::shared_ptr<Graph>>(&value);
         if (sub == nullptr || *sub == nullptr) continue;
         ancestors->push_back(&scope);
-        VerifyGraphInto(**sub, ancestors,
-                        key + " of '" + node.name() + "'", options, visited,
-                        out);
+        VerifyGraphInto(**sub, ancestors, key + " of '" + node.name() + "'",
+                        visited, out);
         ancestors->pop_back();
       }
     }
@@ -599,19 +591,17 @@ std::string VerifyDiagnostic::str() const {
   return s;
 }
 
-std::vector<VerifyDiagnostic> VerifyGraph(const Graph& graph,
-                                          const GraphVerifyOptions& options) {
+std::vector<VerifyDiagnostic> VerifyGraph(const Graph& graph) {
   std::vector<VerifyDiagnostic> out;
   std::vector<const GraphScope*> ancestors;
   std::unordered_set<const Graph*> visited;
-  VerifyGraphInto(graph, &ancestors, "", options, &visited, &out);
+  VerifyGraphInto(graph, &ancestors, "", &visited, &out);
   return out;
 }
 
 std::vector<VerifyDiagnostic> VerifyGraphAndRoots(
-    const Graph& graph, const std::vector<Output>& roots,
-    const GraphVerifyOptions& options) {
-  std::vector<VerifyDiagnostic> out = VerifyGraph(graph, options);
+    const Graph& graph, const std::vector<Output>& roots) {
+  std::vector<VerifyDiagnostic> out = VerifyGraph(graph);
   std::unordered_set<const Node*> live;
   live.reserve(graph.num_nodes());
   for (const auto& n : graph.nodes()) live.insert(n.get());

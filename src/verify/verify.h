@@ -69,22 +69,15 @@ struct VerifyDiagnostic {
   [[nodiscard]] std::string str() const;
 };
 
-struct GraphVerifyOptions {
-  // AGV104/AGV105 dtype checks (on by default; off lets structural
-  // checks run on graphs with deliberately unset dtypes).
-  bool check_dtypes = true;
-};
-
 // Verifies one graph (recursing into Cond/While subgraphs): AGV101-106.
 // Results are ordered by node id within each graph, outer graph first.
 [[nodiscard]] std::vector<VerifyDiagnostic> VerifyGraph(
-    const graph::Graph& graph, const GraphVerifyOptions& options = {});
+    const graph::Graph& graph);
 
 // Same, plus validates that each fetch root is a live endpoint of
 // `graph` (a pass that remaps roots to a pruned node breaks every Run).
 [[nodiscard]] std::vector<VerifyDiagnostic> VerifyGraphAndRoots(
-    const graph::Graph& graph, const std::vector<graph::Output>& roots,
-    const GraphVerifyOptions& options = {});
+    const graph::Graph& graph, const std::vector<graph::Output>& roots);
 
 // All findings, one per line (empty string when clean).
 [[nodiscard]] std::string FormatFindings(

@@ -1,16 +1,21 @@
 // Unit tests for symbolic graph gradients and the eager tape: every
 // registered gradient is checked against central finite differences
 // (property-style, parameterized over ops), plus structural tests for
-// path pruning and second-order differentiation.
+// path pruning and second-order differentiation. One table covers every
+// shared VJP rule (autodiff/vjp.h) across the graph, the tape and Lantern.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <optional>
 
 #include "autodiff/graph_grad.h"
 #include "eager/eager.h"
 #include "exec/session.h"
 #include "graph/ops.h"
+#include "lantern/builder.h"
+#include "lantern/executor.h"
 #include "tensor/rng.h"
 #include "tensor/tensor_ops.h"
 
@@ -289,6 +294,311 @@ TEST(EagerTape, GatherSliceReshapeConcatGrads) {
   EXPECT_FLOAT_EQ(grads[0].at(0), 0.0f);
   EXPECT_FLOAT_EQ(grads[0].at(8), 0.0f);
 }
+
+TEST(EagerTape, RuleWithMoreGradientsThanInputsIsAnInternalError) {
+  eager::GradientTape tape;
+  eager::ETensor x = tape.Watch(Tensor::Scalar(2.0f));
+  // Add's rule returns two gradients; this entry has one input.
+  const int id = tape.Record({x.id}, autodiff::vjp::kAdd.rule,
+                             {.x = {x.value, x.value}});
+  try {
+    (void)tape.Gradient(eager::ETensor(Tensor::Scalar(4.0f), id), {x});
+    FAIL() << "expected an internal error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kInternal);
+  }
+}
+
+// ---- the shared VJP rules, one table across the three engines ----
+
+using EagerFn =
+    std::function<eager::ETensor(const std::vector<eager::ETensor>&)>;
+using LanternFn = std::function<lantern::SymPtr(
+    lantern::ProgramBuilder&, const std::vector<lantern::SymPtr>&)>;
+
+// One rule of autodiff/vjp.h applied to seeded inputs. The loss is
+// sum(op(x) * w) for a seeded w, so the upstream gradient is not all ones.
+struct VjpRow {
+  std::string name{};
+  std::vector<Shape> shapes{};  // the differentiated inputs
+  float low = -1.5f;
+  float high = 1.5f;
+  // Trailing input with no gradient (labels, indices).
+  std::optional<Tensor> aux{};
+  EagerFn eager{};
+  // Graph op and attrs; empty when the graph has no gradient for it.
+  std::string graph_op{};
+  graph::AttrMap attrs{};
+  // Null when Lantern has no LOp for it.
+  LanternFn lantern{};
+};
+
+void PrintTo(const VjpRow& row, std::ostream* os) { *os << row.name; }
+
+void ExpectBitIdentical(const Tensor& expected, const Tensor& actual,
+                        const std::string& what) {
+  ASSERT_EQ(expected.shape(), actual.shape()) << what;
+  EXPECT_EQ(std::memcmp(expected.data(), actual.data(),
+                        static_cast<size_t>(expected.num_elements()) *
+                            sizeof(float)),
+            0)
+      << what << ": " << expected.DebugString() << " vs "
+      << actual.DebugString();
+}
+
+std::vector<VjpRow> VjpRows() {
+  using E = std::vector<eager::ETensor>;
+  using S = std::vector<lantern::SymPtr>;
+  using lantern::LOp;
+  using lantern::ProgramBuilder;
+  std::vector<VjpRow> rows;
+
+  const auto lantern_op = [](LOp op) {
+    return [op](ProgramBuilder& b, const S& x) { return b.Emit(op, x); };
+  };
+  struct Binary {
+    const char* op;
+    eager::ETensor (*eager)(const eager::ETensor&, const eager::ETensor&);
+    LOp lop;
+    float low;
+  };
+  for (const Binary& bin : {Binary{"Add", &eager::Add, LOp::kAdd, -1.5f},
+                            Binary{"Sub", &eager::Sub, LOp::kSub, -1.5f},
+                            Binary{"Mul", &eager::Mul, LOp::kMul, -1.5f},
+                            Binary{"Div", &eager::Div, LOp::kDiv, 0.5f}}) {
+    // Same shapes, then each operand broadcast in turn.
+    const std::vector<std::pair<const char*, std::vector<Shape>>> shapes = {
+        {"", {Shape({2, 3}), Shape({2, 3})}},
+        {"BroadcastRow", {Shape({2, 3}), Shape({3})}},
+        {"BroadcastBoth", {Shape({2, 1}), Shape({1, 3})}}};
+    for (const auto& [suffix, s] : shapes) {
+      auto* fn = bin.eager;
+      rows.push_back({.name = std::string(bin.op) + suffix,
+                      .shapes = s,
+                      .low = bin.low,
+                      .eager = [fn](const E& x) { return fn(x[0], x[1]); },
+                      .graph_op = bin.op,
+                      .lantern = lantern_op(bin.lop)});
+    }
+  }
+
+  struct Unary {
+    const char* op;
+    eager::ETensor (*eager)(const eager::ETensor&);
+    std::optional<LOp> lop;
+    float low;
+    float high;
+  };
+  for (const Unary& un :
+       {Unary{"Neg", &eager::Neg, LOp::kNeg, -1.5f, 1.5f},
+        Unary{"Exp", &eager::Exp, LOp::kExp, -1.0f, 1.0f},
+        Unary{"Log", &eager::Log, LOp::kLog, 0.3f, 2.0f},
+        Unary{"Tanh", &eager::Tanh, LOp::kTanh, -1.5f, 1.5f},
+        Unary{"Sigmoid", &eager::Sigmoid, LOp::kSigmoid, -1.5f, 1.5f},
+        Unary{"Relu", &eager::Relu, LOp::kRelu, -1.5f, 1.5f},
+        Unary{"Sqrt", &eager::Sqrt, std::nullopt, 0.3f, 2.0f},
+        Unary{"Square", &eager::Square, LOp::kSquare, -1.5f, 1.5f}}) {
+    auto* fn = un.eager;
+    rows.push_back(
+        {.name = un.op,
+         .shapes = {Shape({2, 3})},
+         .low = un.low,
+         .high = un.high,
+         .eager = [fn](const E& x) { return fn(x[0]); },
+         .graph_op = un.op,
+         .lantern = un.lop ? LanternFn(lantern_op(*un.lop)) : nullptr});
+  }
+
+  rows.push_back({.name = "MatMul",
+                  .shapes = {Shape({2, 3}), Shape({3, 4})},
+                  .eager =
+                      [](const E& x) { return eager::MatMul(x[0], x[1]); },
+                  .graph_op = "MatMul",
+                  .lantern = lantern_op(LOp::kMatMul)});
+  rows.push_back(
+      {.name = "Reshape",
+       .shapes = {Shape({2, 3})},
+       .eager = [](const E& x) { return eager::Reshape(x[0], Shape({3, 2})); },
+       .graph_op = "Reshape",
+       .attrs = {{"dims", std::vector<int>{3, 2}}},
+       .lantern = [](ProgramBuilder& b,
+                     const S& x) { return b.EmitReshape(x[0], {3, 2}); }});
+
+  // Reductions: to a scalar, over one axis, and over a negative axis
+  // keeping dims. Lantern reduces to a scalar only.
+  struct Reduction {
+    const char* op;
+    eager::ETensor (*eager)(const eager::ETensor&, int, bool);
+    std::optional<LOp> lop;
+  };
+  for (const Reduction& red :
+       {Reduction{"ReduceSum", &eager::ReduceSum, LOp::kReduceSum},
+        Reduction{"ReduceMean", &eager::ReduceMean, std::nullopt}}) {
+    auto* fn = red.eager;
+    rows.push_back({.name = red.op,
+                    .shapes = {Shape({2, 3})},
+                    .eager =
+                        [fn](const E& x) {
+                          return fn(x[0], kAllAxes, false);
+                        },
+                    .graph_op = red.op,
+                    .lantern = red.lop ? LanternFn(lantern_op(*red.lop))
+                                       : nullptr});
+    rows.push_back({.name = std::string(red.op) + "Axis0",
+                    .shapes = {Shape({2, 3})},
+                    .eager = [fn](const E& x) { return fn(x[0], 0, false); },
+                    .graph_op = red.op,
+                    .attrs = {{"axis", int64_t{0}}}});
+    rows.push_back({.name = std::string(red.op) + "LastAxisKeepDims",
+                    .shapes = {Shape({2, 3})},
+                    .eager = [fn](const E& x) { return fn(x[0], -1, true); },
+                    .graph_op = red.op,
+                    .attrs = {{"axis", int64_t{-1}},
+                              {"keepdims", int64_t{1}}}});
+  }
+
+  const Tensor labels = Tensor::FromVector({2, 0}, Shape({2}), DType::kInt32);
+  rows.push_back({.name = "SoftmaxCrossEntropy",
+                  .shapes = {Shape({2, 3})},
+                  .aux = labels,
+                  .eager =
+                      [labels](const E& x) {
+                        return eager::SoftmaxCrossEntropy(x[0], labels);
+                      },
+                  .graph_op = "SoftmaxCrossEntropy"});
+
+  // Rows the graph has no gradient for.
+  rows.push_back({.name = "Concat0",
+                  .shapes = {Shape({2, 3}), Shape({1, 3})},
+                  .eager = [](const E& x) { return eager::Concat(x, 0); },
+                  .lantern = lantern_op(LOp::kConcat0)});
+  rows.push_back({.name = "ConcatLastAxis",
+                  .shapes = {Shape({2, 3}), Shape({2, 1}), Shape({2, 2})},
+                  .eager = [](const E& x) { return eager::Concat(x, -1); }});
+  rows.push_back(
+      {.name = "SliceRows",
+       .shapes = {Shape({4, 3})},
+       .eager = [](const E& x) { return eager::SliceRows(x[0], 1, 2); },
+       .lantern = [](ProgramBuilder& b,
+                     const S& x) { return b.EmitSlice0(x[0], 1, 2); }});
+  // Repeated indices: row 2 gathers twice, rows 1 and 3 never.
+  const Tensor indices =
+      Tensor::FromVector({2, 0, 2}, Shape({3}), DType::kInt32);
+  rows.push_back({.name = "Gather",
+                  .shapes = {Shape({4, 3})},
+                  .aux = indices,
+                  .eager =
+                      [indices](const E& x) {
+                        return eager::Gather(x[0], indices);
+                      },
+                  .lantern = lantern_op(LOp::kGather)});
+  return rows;
+}
+
+class SharedVjp : public ::testing::TestWithParam<VjpRow> {};
+
+TEST_P(SharedVjp, MatchesFiniteDifferencesAndAgreesAcrossEngines) {
+  const VjpRow& row = GetParam();
+  Rng rng(static_cast<uint64_t>(row.name.size() * 131 + row.shapes.size()));
+  std::vector<Tensor> x0;
+  for (const Shape& shape : row.shapes) {
+    x0.push_back(rng.Uniform(shape, row.low, row.high));
+  }
+  const auto eager_inputs = [&](const std::vector<Tensor>& xs) {
+    return std::vector<eager::ETensor>(xs.begin(), xs.end());
+  };
+  const Tensor w = rng.Uniform(row.eager(eager_inputs(x0)).value.shape(),
+                               -1.0f, 1.0f);
+
+  // Eager tape: the reference the other engines must equal bit for bit.
+  std::vector<Tensor> expected;
+  {
+    eager::GradientTape tape;
+    std::vector<eager::ETensor> xs;
+    for (const Tensor& x : x0) xs.push_back(tape.Watch(x));
+    eager::ETensor loss =
+        eager::ReduceSum(eager::Mul(row.eager(xs), eager::ETensor(w)));
+    expected = tape.Gradient(loss, xs);
+  }
+
+  // Loss as a function of the inputs, for finite differences: through a
+  // Session when the graph has a gradient for the op, else eagerly.
+  std::function<float(const std::vector<Tensor>&)> loss_at =
+      [&](const std::vector<Tensor>& xs) {
+        return ReduceSum(Mul(row.eager(eager_inputs(xs)).value, w)).scalar();
+      };
+
+  Graph g;
+  GraphContext ctx(&g);
+  std::optional<exec::Session> session;
+  std::vector<std::string> names;  // the graph's input placeholders
+  if (!row.graph_op.empty()) {
+    std::vector<Output> xs;
+    std::map<std::string, exec::RuntimeValue> feeds;
+    for (size_t i = 0; i < x0.size(); ++i) {
+      names.push_back("x" + std::to_string(i));
+      xs.push_back(Placeholder(ctx, names[i], DType::kFloat32));
+      feeds[names[i]] = x0[i];
+    }
+    std::vector<Output> inputs = xs;
+    if (row.aux) inputs.push_back(Const(ctx, *row.aux));
+    Output y = Op(ctx, row.graph_op, inputs, row.attrs);
+    Output loss = Op(ctx, "ReduceSum", {Op(ctx, "Mul", {y, Const(ctx, w)})});
+    std::vector<Output> grads = autodiff::Gradients(ctx, loss, xs);
+    session.emplace(&g);
+    std::vector<exec::RuntimeValue> got = session->Run(feeds, grads);
+    for (size_t i = 0; i < x0.size(); ++i) {
+      ExpectBitIdentical(expected[i], exec::AsTensor(got[i]),
+                         "graph d/dx" + std::to_string(i));
+    }
+    loss_at = [&session, &names, loss](const std::vector<Tensor>& xs) {
+      std::map<std::string, exec::RuntimeValue> f;
+      for (size_t i = 0; i < xs.size(); ++i) f[names[i]] = xs[i];
+      return session->RunTensor(f, loss).scalar();
+    };
+  }
+
+  if (row.lantern) {
+    lantern::ProgramBuilder b;
+    std::vector<lantern::SymPtr> xs =
+        b.BeginFunction("f", std::vector<bool>(x0.size(), false));
+    std::vector<lantern::SymPtr> inputs = xs;
+    if (row.aux) inputs.push_back(b.EmitConst(*row.aux));
+    lantern::SymPtr y = row.lantern(b, inputs);
+    b.EndFunction(b.Emit(lantern::LOp::kReduceSum,
+                         {b.Emit(lantern::LOp::kMul, {y, b.EmitConst(w)})}));
+    lantern::LProgram program = b.Finish("f");
+    lantern::Executor executor(program);
+    auto [value, grads] = executor.RunWithGradients(
+        std::vector<lantern::LValue>(x0.begin(), x0.end()));
+    for (size_t i = 0; i < x0.size(); ++i) {
+      ExpectBitIdentical(expected[i], grads[i],
+                         "lantern d/dx" + std::to_string(i));
+    }
+  }
+
+  const float eps = 1e-3f;
+  for (size_t i = 0; i < x0.size(); ++i) {
+    for (int64_t k = 0; k < x0[i].num_elements(); ++k) {
+      auto eval = [&](float delta) {
+        std::vector<Tensor> xs = x0;
+        std::vector<float> data(x0[i].data(),
+                                x0[i].data() + x0[i].num_elements());
+        data[static_cast<size_t>(k)] += delta;
+        xs[i] = Tensor::FromVector(std::move(data), x0[i].shape());
+        return loss_at(xs);
+      };
+      const float fd = (eval(eps) - eval(-eps)) / (2 * eps);
+      EXPECT_NEAR(expected[i].at(k), fd, 0.02f * std::fabs(fd) + 2e-2f)
+          << "d/dx" << i << " entry " << k;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Rows, SharedVjp, ::testing::ValuesIn(VjpRows()),
+                         [](const ::testing::TestParamInfo<VjpRow>& info) {
+                           return info.param.name;
+                         });
 
 }  // namespace
 }  // namespace ag

@@ -6,11 +6,14 @@
 #include <cmath>
 
 #include "core/lantern_api.h"
+#include "eager/eager.h"
 #include "lantern/builder.h"
+#include "tensor/rng.h"
 
 namespace ag::core {
 namespace {
 
+using lantern::LOp;
 using lantern::LTree;
 using lantern::LTreePtr;
 using lantern::LValue;
@@ -128,6 +131,59 @@ def f(x):
   auto [value, grads] = lf.RunWithGradients({x});
   const float g0 = 2 * t0 * (1 - t0 * t0);
   EXPECT_NEAR(grads[0].at(0), g0, 1e-5f);
+}
+
+// The dense Gather path: the table is computed inside the function (a
+// tensor argument bound as a global takes the sparse in-place path
+// instead), gathered with repeated indices, and a later use gives it a
+// gradient first, so the gathered rows add onto an existing gradient.
+TEST(Lantern, DenseGatherOfComputedTableMatchesTapeAndFiniteDifference) {
+  Rng rng(21);
+  const Tensor p0 = rng.Normal(Shape({5, 3}));
+  const Tensor w = rng.Normal(Shape({6, 3}));
+  const Tensor ids =
+      Tensor::FromVector({1, 3, 1, 4, 1, 3}, Shape({6}), DType::kInt32);
+
+  lantern::ProgramBuilder b;
+  lantern::SymPtr p = b.BeginFunction("f", {false})[0];
+  lantern::SymPtr table = b.Emit(LOp::kTanh, {p});
+  lantern::SymPtr rows = b.Emit(LOp::kGather, {table, b.EmitConst(ids)});
+  lantern::SymPtr gathered = b.Emit(
+      LOp::kReduceSum, {b.Emit(LOp::kMul, {rows, b.EmitConst(w)})});
+  lantern::SymPtr squares =
+      b.Emit(LOp::kReduceSum, {b.Emit(LOp::kSquare, {table})});
+  b.EndFunction(b.Emit(LOp::kAdd, {gathered, squares}));
+  const lantern::LProgram program = b.Finish("f");
+  lantern::Executor executor(program);
+  auto [value, grads] = executor.RunWithGradients({p0});
+
+  eager::GradientTape tape;
+  eager::ETensor pe = tape.Watch(p0);
+  eager::ETensor te = eager::Tanh(pe);
+  eager::ETensor loss = eager::Add(
+      eager::ReduceSum(eager::Mul(eager::Gather(te, ids), eager::ETensor(w))),
+      eager::ReduceSum(eager::Square(te)));
+  const Tensor expected = tape.Gradient(loss, {pe})[0];
+  EXPECT_EQ(value.scalar(), loss.value.scalar());
+  ASSERT_EQ(grads[0].shape(), expected.shape());
+  for (int64_t k = 0; k < expected.num_elements(); ++k) {
+    EXPECT_EQ(grads[0].at(k), expected.at(k)) << "entry " << k;
+  }
+
+  const float eps = 1e-3f;
+  for (int64_t k = 0; k < p0.num_elements(); ++k) {
+    auto eval = [&](float delta) {
+      std::vector<float> data(p0.data(), p0.data() + p0.num_elements());
+      data[static_cast<size_t>(k)] += delta;
+      return lantern::AsTensorL(
+                 executor.Run({Tensor::FromVector(std::move(data),
+                                                  p0.shape())}))
+          .scalar();
+    };
+    const float fd = (eval(eps) - eval(-eps)) / (2 * eps);
+    EXPECT_NEAR(grads[0].at(k), fd, 0.02f * std::fabs(fd) + 2e-2f)
+        << "entry " << k;
+  }
 }
 
 }  // namespace
