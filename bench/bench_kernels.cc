@@ -1,7 +1,7 @@
 // Kernel-backend A/B: what the runtime-dispatched SIMD layer (DESIGN.md
 // §4j) buys on the hot tensor kernels, and what int8 buys on top.
 //
-// Three kernel families, each swept over backend × threads {1, 4, 8}:
+// Four kernel families, each swept over backend × threads {1, 4, 8}:
 //   MatMul        square sizes 64..512 (512^3 is the acceptance gate:
 //                 AVX2 >= 2x scalar single-thread GFLOP/s, int8 >= 1.5x
 //                 over float AVX2), float backends plus the int8
@@ -10,12 +10,17 @@
 //   FusedChain    a staged exp(tanh(x*y)+x) elementwise chain through
 //                 the fusion pipeline — exercises the vectorized
 //                 FusedProgram row loop;
-//   Softmax       rowwise softmax over [batch, vocab] logits — the
-//                 vexpf-backed reduction path (beam search's inner op).
+//   Softmax,      the rowwise softmax kernels over [batch, vocab] logits
+//   LogSoftmax    (vexpf-backed); {8, 128} is beam search's per-step
+//                 LogSoftmax (Appendix D.1);
+//   BroadcastAdd  beam search's two broadcast adds, [8,128]+[128] (the
+//                 output bias) and [8,1]+[8,128] (scores + logp), on the
+//                 run-based broadcast path.
 //
 // Each benchmark reports GFLOP/s (GFLOPS counter; nominal flop counts:
 // 2mkn for matmul, ops-per-element for the chain, 4 flops/element for
-// softmax) and GB/s over the streamed inputs, so backend wins read as
+// softmax and log-softmax, 1 for the add) and GB/s over the streamed
+// inputs, so backend wins read as
 // roofline movement rather than raw milliseconds. The A/B numerics
 // contract behind the comparison — scalar bit-stable, AVX2 within the
 // documented ULP bounds, int8 backend-bit-identical — is enforced by
@@ -157,7 +162,8 @@ void BM_FusedChain(benchmark::State& state) {
 
 // ---- Softmax --------------------------------------------------------------
 
-void BM_Softmax(benchmark::State& state) {
+template <Tensor (*kFn)(const Tensor&)>
+void BM_SoftmaxFamily(benchmark::State& state) {
   const int64_t batch = state.range(0);
   const int64_t vocab = state.range(1);
   const int64_t backend = state.range(2);
@@ -166,12 +172,40 @@ void BM_Softmax(benchmark::State& state) {
   runtime::IntraOpScope intra(threads == 1 ? 0 : threads);
   KernelBackendScope scope(BackendFor(backend));
   for (auto _ : state) {
-    Tensor out = Softmax(logits);
+    Tensor out = kFn(logits);
     benchmark::DoNotOptimize(out.data());
   }
-  // max + sub/exp + sum + div: nominal 4 flops per element.
+  // max + sub/exp + sum + div (or log-sub): nominal 4 flops per element.
   RateCounters(state, 4.0 * batch * vocab,
                static_cast<double>(batch * vocab) * sizeof(float));
+}
+
+void BM_Softmax(benchmark::State& state) { BM_SoftmaxFamily<&Softmax>(state); }
+
+void BM_LogSoftmax(benchmark::State& state) {
+  BM_SoftmaxFamily<&LogSoftmax>(state);
+}
+
+// ---- Broadcast add --------------------------------------------------------
+
+// shape 0: [rows, cols] + [cols]; shape 1: [rows, 1] + [rows, cols].
+void BM_BroadcastAdd(benchmark::State& state) {
+  const int64_t rows = state.range(0);
+  const int64_t cols = state.range(1);
+  const bool column = state.range(2) == 1;
+  const int64_t backend = state.range(3);
+  const int threads = static_cast<int>(state.range(4));
+  Tensor a = RandomTensor(column ? Shape({rows, 1}) : Shape({rows, cols}), 6);
+  Tensor b = RandomTensor(column ? Shape({rows, cols}) : Shape({cols}), 7);
+  runtime::IntraOpScope intra(threads == 1 ? 0 : threads);
+  KernelBackendScope scope(BackendFor(backend));
+  for (auto _ : state) {
+    Tensor out = Add(a, b);
+    benchmark::DoNotOptimize(out.data());
+  }
+  RateCounters(state, static_cast<double>(rows * cols),
+               static_cast<double>(a.num_elements() + b.num_elements()) *
+                   sizeof(float));
 }
 
 void MatMulArgs(benchmark::internal::Benchmark* b) {
@@ -202,8 +236,19 @@ void SoftmaxArgs(benchmark::internal::Benchmark* b) {
   b->ArgNames({"batch", "vocab", "backend", "threads"});
   for (int64_t backend : {kScalar, kAvx2}) {
     for (int64_t threads : {1, 4, 8}) {
+      b->Args({8, 128, backend, threads});
       b->Args({64, 4096, backend, threads});
       b->Args({1024, 256, backend, threads});
+    }
+  }
+  b->Unit(benchmark::kMicrosecond);
+}
+
+void BroadcastAddArgs(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"rows", "cols", "shape", "backend", "threads"});
+  for (int64_t backend : {kScalar, kAvx2}) {
+    for (int64_t threads : {1, 4, 8}) {
+      for (int64_t shape : {0, 1}) b->Args({8, 128, shape, backend, threads});
     }
   }
   b->Unit(benchmark::kMicrosecond);
@@ -212,6 +257,8 @@ void SoftmaxArgs(benchmark::internal::Benchmark* b) {
 BENCHMARK(BM_MatMul)->Apply(MatMulArgs);
 BENCHMARK(BM_FusedChain)->Apply(FusedChainArgs);
 BENCHMARK(BM_Softmax)->Apply(SoftmaxArgs);
+BENCHMARK(BM_LogSoftmax)->Apply(SoftmaxArgs);
+BENCHMARK(BM_BroadcastAdd)->Apply(BroadcastAddArgs);
 
 }  // namespace
 }  // namespace ag

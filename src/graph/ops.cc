@@ -108,7 +108,7 @@ constexpr OpDef kOpTable[] = {
 
     // ---- softmax, matmul and quantization (the quantize_weights pass)
     Pure("Softmax", R::kFloat, {}, F::kUnit),
-    Pure("LogSoftmax", R::kFloat),
+    Pure("LogSoftmax", R::kFloat, {}, F::kUnit),
     Pure("SoftmaxCrossEntropy", R::kFloat),
     Pure("SoftmaxCrossEntropyGrad", R::kFloat),
     Pure("MatMul", R::kPropagate, {}, F::kMatMul),

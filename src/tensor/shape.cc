@@ -70,7 +70,8 @@ Shape Shape::Broadcast(const Shape& a, const Shape& b) {
   for (int i = 0; i < r; ++i) {
     int64_t da = i < ra ? a.dims()[static_cast<size_t>(ra - 1 - i)] : 1;
     int64_t db = i < rb ? b.dims()[static_cast<size_t>(rb - 1 - i)] : 1;
-    dims[static_cast<size_t>(r - 1 - i)] = std::max(da, db);
+    // A size-1 dimension stretches to the other's, including to 0.
+    dims[static_cast<size_t>(r - 1 - i)] = da == 1 ? db : da;
   }
   return Shape(std::move(dims));
 }

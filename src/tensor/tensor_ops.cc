@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "runtime/cancellation.h"
@@ -41,13 +42,30 @@ Tensor NewOut(Shape shape, DType dtype) {
   return TensorAccess::Uninitialized(std::move(shape), dtype);
 }
 
+// Broadcast strides of a `shape` operand against an output of rank
+// `out_rank`: dimensions right-aligned, stride 0 where the operand has
+// size 1 or no dimension at all, so the same output coordinate walks
+// every operand.
+std::vector<int64_t> PaddedStrides(const Shape& shape, int out_rank) {
+  std::vector<int64_t> s(static_cast<size_t>(out_rank), 0);
+  const auto& dims = shape.dims();
+  const auto strides = shape.strides();
+  const int rt = shape.rank();
+  for (int i = 0; i < rt; ++i) {
+    const auto iu = static_cast<size_t>(i);
+    s[static_cast<size_t>(out_rank - rt + i)] =
+        dims[iu] == 1 ? 0 : strides[iu];
+  }
+  return s;
+}
+
 // Broadcast-aware elementwise binary kernel. `ra`/`rb` are non-null when
 // the caller owns that operand as an rvalue: if its buffer is sole-owned
 // (and pooling is on) the op writes the result into it instead of
 // allocating. Only the exact-index fast paths reuse — element i is read
 // before it is written, never across indices — so in-place results are
-// identical to the copying path. The strided broadcast path never
-// reuses (output index != input index).
+// identical to the copying path. The run-based broadcast path never
+// reuses: its output index is not its operands' index.
 template <typename F>
 Tensor BinaryOp(const Tensor& a, const Tensor& b, DType out_dtype, F&& f,
                 Tensor* ra = nullptr, Tensor* rb = nullptr) {
@@ -99,45 +117,66 @@ Tensor BinaryOp(const Tensor& a, const Tensor& b, DType out_dtype, F&& f,
     return reuse ? TensorAccess::Retag(std::move(out), out_dtype) : out;
   }
 
-  // General broadcast: per-dimension strides, 0 where broadcasting.
-  const int r = out_shape.rank();
-  auto padded_strides = [r](const Tensor& t) {
-    std::vector<int64_t> s(static_cast<size_t>(r), 0);
-    const auto& dims = t.shape().dims();
-    const auto strides = t.shape().strides();
-    const int rt = t.rank();
-    for (int i = 0; i < rt; ++i) {
-      const int out_axis = r - rt + i;
-      s[static_cast<size_t>(out_axis)] =
-          dims[static_cast<size_t>(i)] == 1 ? 0 : strides[static_cast<size_t>(i)];
-    }
-    return s;
-  };
-  const std::vector<int64_t> sa = padded_strides(a);
-  const std::vector<int64_t> sb = padded_strides(b);
-  const std::vector<int64_t>& out_dims = out_shape.dims();
-
+  // General broadcast, one run of the innermost output dimension at a
+  // time: inside a run each operand advances by its innermost stride (0
+  // or 1 for every bias-style broadcast, which get their own loops), and
+  // the odometer over the outer dimensions moves only between runs.
+  // Shards are whole runs, so each output element is still computed by
+  // one f(x, y) call, whatever the budget.
   Tensor out_t = NewOut(out_shape, out_dtype);
-  float* out = TensorAccess::data(out_t);
-  std::vector<int64_t> idx(static_cast<size_t>(r), 0);
+  if (n == 0) return out_t;
+  const int r = out_shape.rank();
+  const std::vector<int64_t>& out_dims = out_shape.dims();
+  const std::vector<int64_t> sa = PaddedStrides(a.shape(), r);
+  const std::vector<int64_t> sb = PaddedStrides(b.shape(), r);
+  const int64_t cols = out_dims.back();
+  const int64_t ia = sa.back();
+  const int64_t ib = sb.back();
   const float* pa = a.data();
   const float* pb = b.data();
-  int64_t oa = 0;
-  int64_t ob = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    out[static_cast<size_t>(i)] = f(pa[oa], pb[ob]);
-    // Odometer increment.
-    for (int d = r - 1; d >= 0; --d) {
-      const auto du = static_cast<size_t>(d);
-      idx[du] += 1;
-      oa += sa[du];
-      ob += sb[du];
-      if (idx[du] < out_dims[du]) break;
-      oa -= sa[du] * idx[du];
-      ob -= sb[du] * idx[du];
-      idx[du] = 0;
-    }
-  }
+  float* po = TensorAccess::data(out_t);
+  runtime::ParallelFor(
+      n / cols, std::max<int64_t>(1, kElementGrain / cols),
+      [&](int64_t q0, int64_t q1) {
+        // Seed the outer odometer at run q0.
+        std::vector<int64_t> idx(static_cast<size_t>(r), 0);
+        int64_t oa = 0;
+        int64_t ob = 0;
+        int64_t rem = q0;
+        for (int d = r - 2; d >= 0; --d) {
+          const auto du = static_cast<size_t>(d);
+          idx[du] = rem % out_dims[du];
+          rem /= out_dims[du];
+          oa += sa[du] * idx[du];
+          ob += sb[du] * idx[du];
+        }
+        for (int64_t q = q0; q < q1; ++q) {
+          const float* x = pa + oa;
+          const float* y = pb + ob;
+          float* o = po + q * cols;
+          if (ia == 1 && ib == 1) {
+            for (int64_t j = 0; j < cols; ++j) o[j] = f(x[j], y[j]);
+          } else if (ia == 0 && ib == 1) {
+            const float vx = *x;
+            for (int64_t j = 0; j < cols; ++j) o[j] = f(vx, y[j]);
+          } else if (ia == 1 && ib == 0) {
+            const float vy = *y;
+            for (int64_t j = 0; j < cols; ++j) o[j] = f(x[j], vy);
+          } else {
+            for (int64_t j = 0; j < cols; ++j) o[j] = f(x[j * ia], y[j * ib]);
+          }
+          for (int d = r - 2; d >= 0; --d) {
+            const auto du = static_cast<size_t>(d);
+            idx[du] += 1;
+            oa += sa[du];
+            ob += sb[du];
+            if (idx[du] < out_dims[du]) break;
+            oa -= sa[du] * out_dims[du];
+            ob -= sb[du] * out_dims[du];
+            idx[du] = 0;
+          }
+        }
+      });
   return out_t;
 }
 
@@ -246,189 +285,174 @@ Tensor Reduce(const Tensor& a, int axis, bool keepdims, float init, F&& f) {
   return out_t;
 }
 
+// One functor per binary op, shared by its lvalue and rvalue overloads
+// so each op instantiates BinaryOp once.
+constexpr auto kAdd = [](float x, float y) { return x + y; };
+constexpr auto kSub = [](float x, float y) { return x - y; };
+constexpr auto kMul = [](float x, float y) { return x * y; };
+constexpr auto kDiv = [](float x, float y) { return x / y; };
+constexpr auto kFloorDiv = [](float x, float y) { return std::floor(x / y); };
+// Python modulo semantics.
+inline float PyMod(float x, float y) { return x - std::floor(x / y) * y; }
+constexpr auto kMod = [](float x, float y) { return PyMod(x, y); };
+constexpr auto kPow = [](float x, float y) { return std::pow(x, y); };
+constexpr auto kMaximum = [](float x, float y) { return std::max(x, y); };
+constexpr auto kMinimum = [](float x, float y) { return std::min(x, y); };
+constexpr auto kLess = [](float x, float y) { return x < y ? 1.0f : 0.0f; };
+constexpr auto kLessEqual = [](float x, float y) {
+  return x <= y ? 1.0f : 0.0f;
+};
+constexpr auto kGreater = [](float x, float y) { return x > y ? 1.0f : 0.0f; };
+constexpr auto kGreaterEqual = [](float x, float y) {
+  return x >= y ? 1.0f : 0.0f;
+};
+constexpr auto kEqual = [](float x, float y) { return x == y ? 1.0f : 0.0f; };
+constexpr auto kNotEqual = [](float x, float y) {
+  return x != y ? 1.0f : 0.0f;
+};
+constexpr auto kLogicalAnd = [](float x, float y) {
+  return (x != 0.0f && y != 0.0f) ? 1.0f : 0.0f;
+};
+constexpr auto kLogicalOr = [](float x, float y) {
+  return (x != 0.0f || y != 0.0f) ? 1.0f : 0.0f;
+};
+
 }  // namespace
 
 Tensor Add(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()),
-                  [](float x, float y) { return x + y; });
+  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()), kAdd);
 }
 
 Tensor Add(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()),
-                  [](float x, float y) { return x + y; }, &a, &b);
+  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()), kAdd, &a, &b);
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()),
-                  [](float x, float y) { return x - y; });
+  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()), kSub);
 }
 
 Tensor Sub(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()),
-                  [](float x, float y) { return x - y; }, &a, &b);
+  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()), kSub, &a, &b);
 }
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()),
-                  [](float x, float y) { return x * y; });
+  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()), kMul);
 }
 
 Tensor Mul(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()),
-                  [](float x, float y) { return x * y; }, &a, &b);
+  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()), kMul, &a, &b);
 }
 
 Tensor Div(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, DType::kFloat32,
-                  [](float x, float y) { return x / y; });
+  return BinaryOp(a, b, DType::kFloat32, kDiv);
 }
 
 Tensor Div(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, DType::kFloat32,
-                  [](float x, float y) { return x / y; }, &a, &b);
+  return BinaryOp(a, b, DType::kFloat32, kDiv, &a, &b);
 }
 
 Tensor FloorDiv(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()),
-                  [](float x, float y) { return std::floor(x / y); });
+  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()), kFloorDiv);
 }
 
 Tensor FloorDiv(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()),
-                  [](float x, float y) { return std::floor(x / y); }, &a, &b);
+  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()), kFloorDiv, &a, &b);
 }
 
-namespace {
-// Python modulo semantics.
-inline float PyMod(float x, float y) { return x - std::floor(x / y) * y; }
-}  // namespace
-
 Tensor Mod(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()), &PyMod);
+  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()), kMod);
 }
 
 Tensor Mod(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()), &PyMod, &a, &b);
+  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()), kMod, &a, &b);
 }
 
 Tensor Pow(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, DType::kFloat32,
-                  [](float x, float y) { return std::pow(x, y); });
+  return BinaryOp(a, b, DType::kFloat32, kPow);
 }
 
 Tensor Pow(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, DType::kFloat32,
-                  [](float x, float y) { return std::pow(x, y); }, &a, &b);
+  return BinaryOp(a, b, DType::kFloat32, kPow, &a, &b);
 }
 
 Tensor Maximum(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()),
-                  [](float x, float y) { return std::max(x, y); });
+  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()), kMaximum);
 }
 
 Tensor Maximum(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()),
-                  [](float x, float y) { return std::max(x, y); }, &a, &b);
+  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()), kMaximum, &a, &b);
 }
 
 Tensor Minimum(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()),
-                  [](float x, float y) { return std::min(x, y); });
+  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()), kMinimum);
 }
 
 Tensor Minimum(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()),
-                  [](float x, float y) { return std::min(x, y); }, &a, &b);
+  return BinaryOp(a, b, PromoteDType(a.dtype(), b.dtype()), kMinimum, &a, &b);
 }
 
 Tensor Less(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, DType::kBool,
-                  [](float x, float y) { return x < y ? 1.0f : 0.0f; });
+  return BinaryOp(a, b, DType::kBool, kLess);
 }
 
 Tensor Less(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, DType::kBool,
-                  [](float x, float y) { return x < y ? 1.0f : 0.0f; }, &a, &b);
+  return BinaryOp(a, b, DType::kBool, kLess, &a, &b);
 }
 
 Tensor LessEqual(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, DType::kBool,
-                  [](float x, float y) { return x <= y ? 1.0f : 0.0f; });
+  return BinaryOp(a, b, DType::kBool, kLessEqual);
 }
 
 Tensor LessEqual(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, DType::kBool,
-                  [](float x, float y) { return x <= y ? 1.0f : 0.0f; }, &a,
-                  &b);
+  return BinaryOp(a, b, DType::kBool, kLessEqual, &a, &b);
 }
 
 Tensor Greater(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, DType::kBool,
-                  [](float x, float y) { return x > y ? 1.0f : 0.0f; });
+  return BinaryOp(a, b, DType::kBool, kGreater);
 }
 
 Tensor Greater(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, DType::kBool,
-                  [](float x, float y) { return x > y ? 1.0f : 0.0f; }, &a, &b);
+  return BinaryOp(a, b, DType::kBool, kGreater, &a, &b);
 }
 
 Tensor GreaterEqual(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, DType::kBool,
-                  [](float x, float y) { return x >= y ? 1.0f : 0.0f; });
+  return BinaryOp(a, b, DType::kBool, kGreaterEqual);
 }
 
 Tensor GreaterEqual(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, DType::kBool,
-                  [](float x, float y) { return x >= y ? 1.0f : 0.0f; }, &a,
-                  &b);
+  return BinaryOp(a, b, DType::kBool, kGreaterEqual, &a, &b);
 }
 
 Tensor Equal(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, DType::kBool,
-                  [](float x, float y) { return x == y ? 1.0f : 0.0f; });
+  return BinaryOp(a, b, DType::kBool, kEqual);
 }
 
 Tensor Equal(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, DType::kBool,
-                  [](float x, float y) { return x == y ? 1.0f : 0.0f; }, &a,
-                  &b);
+  return BinaryOp(a, b, DType::kBool, kEqual, &a, &b);
 }
 
 Tensor NotEqual(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, DType::kBool,
-                  [](float x, float y) { return x != y ? 1.0f : 0.0f; });
+  return BinaryOp(a, b, DType::kBool, kNotEqual);
 }
 
 Tensor NotEqual(Tensor&& a, Tensor&& b) {
-  return BinaryOp(a, b, DType::kBool,
-                  [](float x, float y) { return x != y ? 1.0f : 0.0f; }, &a,
-                  &b);
+  return BinaryOp(a, b, DType::kBool, kNotEqual, &a, &b);
 }
 
 Tensor LogicalAnd(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, DType::kBool, [](float x, float y) {
-    return (x != 0.0f && y != 0.0f) ? 1.0f : 0.0f;
-  });
+  return BinaryOp(a, b, DType::kBool, kLogicalAnd);
 }
 
 Tensor LogicalAnd(Tensor&& a, Tensor&& b) {
-  return BinaryOp(
-      a, b, DType::kBool,
-      [](float x, float y) { return (x != 0.0f && y != 0.0f) ? 1.0f : 0.0f; },
-      &a, &b);
+  return BinaryOp(a, b, DType::kBool, kLogicalAnd, &a, &b);
 }
 
 Tensor LogicalOr(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, DType::kBool, [](float x, float y) {
-    return (x != 0.0f || y != 0.0f) ? 1.0f : 0.0f;
-  });
+  return BinaryOp(a, b, DType::kBool, kLogicalOr);
 }
 
 Tensor LogicalOr(Tensor&& a, Tensor&& b) {
-  return BinaryOp(
-      a, b, DType::kBool,
-      [](float x, float y) { return (x != 0.0f || y != 0.0f) ? 1.0f : 0.0f; },
-      &a, &b);
+  return BinaryOp(a, b, DType::kBool, kLogicalOr, &a, &b);
 }
 
 Tensor LogicalNot(const Tensor& a) {
@@ -948,20 +972,66 @@ Tensor Where(const Tensor& cond, const Tensor& x, const Tensor& y) {
   return out_t;
 }
 
-Tensor Softmax(const Tensor& logits) {
-  Tensor m = ReduceMax(logits, -1, /*keepdims=*/true);
-  Tensor e = Exp(Sub(logits, m));
-  Tensor s = ReduceSum(e, -1, /*keepdims=*/true);
-  return Div(std::move(e), std::move(s));
+namespace {
+
+// Softmax (kLog false) or LogSoftmax (kLog true) over the last axis, one
+// row at a time into the one output buffer. Each row runs the
+// operations of the composed chain
+//   m = ReduceMax(x); e = Exp(x - m); s = ReduceSum(e);
+//   Softmax = e / s;  LogSoftmax = (x - m) - Log(s)
+// in the same order — max by std::max from -inf and the sum from 0, both
+// in index order, exp through the active table's vexp (std::exp when it
+// is null) — so the result is bit-identical to that chain on every
+// backend. vexp is position-independent, which lets LogSoftmax take the
+// exps of a row in stack-sized chunks; Softmax keeps them in the output.
+template <bool kLog>
+Tensor SoftmaxRows(const Tensor& logits) {
+  // Rank 0 fails here with ReduceMax's "axis -1 out of range" error.
+  const int64_t cols = logits.shape().dim(-1);
+  const int64_t rows = cols == 0 ? 0 : logits.num_elements() / cols;
+  Tensor out_t = NewOut(logits.shape(), DType::kFloat32);
+  const float* px = logits.data();
+  float* po = TensorAccess::data(out_t);
+  // Resolved on the calling thread (pool helpers carry no scopes).
+  auto* const vexp = tensor::simd::ActiveKernels().vexp;
+  constexpr int64_t kChunk = 256;
+  const int64_t grain =
+      std::max<int64_t>(1, kElementGrain / std::max<int64_t>(1, cols));
+  runtime::ParallelFor(rows, grain, [&](int64_t r0, int64_t r1) {
+    float scratch[kChunk] = {};
+    for (int64_t r = r0; r < r1; ++r) {
+      const float* x = px + r * cols;
+      float* y = po + r * cols;
+      float m = -std::numeric_limits<float>::infinity();
+      for (int64_t j = 0; j < cols; ++j) m = std::max(m, x[j]);
+      for (int64_t j = 0; j < cols; ++j) y[j] = x[j] - m;
+      float sum = 0.0f;
+      for (int64_t j0 = 0; j0 < cols; j0 += kChunk) {
+        const int64_t len = std::min(kChunk, cols - j0);
+        float* e = kLog ? scratch : y + j0;
+        if (vexp != nullptr) {
+          vexp(y + j0, e, len);
+        } else {
+          for (int64_t t = 0; t < len; ++t) e[t] = std::exp(y[j0 + t]);
+        }
+        for (int64_t t = 0; t < len; ++t) sum += e[t];
+      }
+      if constexpr (kLog) {
+        const float lse = std::log(sum);
+        for (int64_t j = 0; j < cols; ++j) y[j] -= lse;
+      } else {
+        for (int64_t j = 0; j < cols; ++j) y[j] /= sum;
+      }
+    }
+  });
+  return out_t;
 }
 
-Tensor LogSoftmax(const Tensor& logits) {
-  Tensor m = ReduceMax(logits, -1, /*keepdims=*/true);
-  Tensor shifted = Sub(logits, m);
-  // `shifted` is read again below, so Exp sees an lvalue and copies.
-  Tensor lse = Log(ReduceSum(Exp(shifted), -1, /*keepdims=*/true));
-  return Sub(std::move(shifted), std::move(lse));
-}
+}  // namespace
+
+Tensor Softmax(const Tensor& logits) { return SoftmaxRows<false>(logits); }
+
+Tensor LogSoftmax(const Tensor& logits) { return SoftmaxRows<true>(logits); }
 
 Tensor SoftmaxCrossEntropy(const Tensor& logits, const Tensor& labels) {
   if (logits.rank() != 2) {
@@ -1178,8 +1248,7 @@ Tensor FusedEval(const FusedProgram& program, std::vector<Tensor> inputs) {
   const std::vector<int64_t>& out_dims = out_shape.dims();
 
   // Per-input addressing: full-shape operands read at the output index,
-  // scalars at 0, everything else through broadcast strides (0 where the
-  // input dim is 1 — the same padded-strides scheme as BinaryOp).
+  // scalars at 0, everything else through PaddedStrides, as in BinaryOp.
   enum class Mode : uint8_t { kDirect, kScalar, kStrided };
   struct In {
     const float* p;
@@ -1199,17 +1268,7 @@ Tensor FusedEval(const FusedProgram& program, std::vector<Tensor> inputs) {
     } else {
       in.mode = Mode::kStrided;
       any_strided = true;
-      in.strides.assign(static_cast<size_t>(r), 0);
-      const auto& dims = t.shape().dims();
-      const auto strides = t.shape().strides();
-      const int rt = t.rank();
-      for (int i = 0; i < rt; ++i) {
-        const int out_axis = r - rt + i;
-        in.strides[static_cast<size_t>(out_axis)] =
-            dims[static_cast<size_t>(i)] == 1
-                ? 0
-                : strides[static_cast<size_t>(i)];
-      }
+      in.strides = PaddedStrides(t.shape(), r);
     }
     ins.push_back(std::move(in));
   }

@@ -16,6 +16,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/api.h"
@@ -24,6 +25,7 @@
 #include "lang/parser.h"
 #include "obs/run_metadata.h"
 #include "tensor/allocator.h"
+#include "tensor/simd/dispatch.h"
 #include "workloads/beam_search.h"
 #include "workloads/rnn.h"
 
@@ -69,16 +71,18 @@ struct RunCounters {
   int64_t kernels = 0;
   int64_t allocs = 0;         // buffers one Run allocates, pool off
   int64_t pooled_allocs = 0;  // fresh allocations of a warm pooled Run
+  int64_t matmuls = 0;        // MatMul steps the pool-off Run executed
 };
 
-// Counters of one steady-state Run on the scalar backend (the SIMD
-// kernels allocate differently, and not every machine has them). The
-// first Run compiles the plans and warms the buffer pool; the next two
-// are counted, pool on and pool off.
+// Counters of one steady-state Run on `backend`. The pins use the scalar
+// backend, which every machine has. The first Run compiles the plans
+// and warms the buffer pool; the next two are counted, pool on and pool
+// off.
 RunCounters CountRun(StagedFunction& fn,
-                     const std::vector<exec::RuntimeValue>& feeds) {
+                     const std::vector<exec::RuntimeValue>& feeds,
+                     const std::string& backend = "scalar") {
   obs::RunOptions pooled;
-  pooled.kernel_backend = "scalar";
+  pooled.kernel_backend = backend;
   obs::RunOptions unpooled = pooled;
   unpooled.buffer_pool = false;
   (void)fn.Run(feeds, &pooled);
@@ -88,9 +92,13 @@ RunCounters CountRun(StagedFunction& fn,
   (void)fn.Run(feeds, &pooled);
   c.kernels = fn.session->stats().kernel_invocations.load() - kernels0;
   c.pooled_allocs = tensor::ThreadAllocCount() - allocs0;
+  obs::RunMetadata meta;
   allocs0 = tensor::ThreadAllocCount();
-  (void)fn.Run(feeds, &unpooled);
+  (void)fn.Run(feeds, &unpooled, &meta);
   c.allocs = tensor::ThreadAllocCount() - allocs0;
+  for (const obs::NodeStats& node : meta.step_stats.nodes) {
+    if (node.op == "MatMul") c.matmuls += node.count;
+  }
   return c;
 }
 
@@ -134,23 +142,34 @@ TEST(Counters, OptimizedNodeCountOfEveryExampleFunction) {
   EXPECT_EQ(counts, pinned);
 }
 
-TEST(Counters, BeamSearchKernelsAndAllocsPerRun) {
+workloads::BeamConfig SmallBeam() {
   workloads::BeamConfig config;
   config.beam = 4;
   config.vocab = 64;
   config.hidden = 32;
   config.max_len = 16;
-  const workloads::BeamInputs inputs = workloads::MakeBeamInputs(config);
+  return config;
+}
+
+std::vector<exec::RuntimeValue> BeamFeeds(const workloads::BeamInputs& in) {
+  return {in.init_state, in.init_scores, in.init_tokens};
+}
+
+StagedFunction StageBeam(AutoGraph& agc) {
+  return agc.Stage("beam_search",
+                   {StageArg::Placeholder("state"),
+                    StageArg::Placeholder("scores"),
+                    StageArg::Placeholder("tokens", DType::kInt32)});
+}
+
+TEST(Counters, BeamSearchKernelsAndAllocsPerRun) {
+  const workloads::BeamInputs inputs = workloads::MakeBeamInputs(SmallBeam());
   AutoGraph agc;
-  workloads::InstallBeamSearch(agc, config, inputs);
-  StagedFunction fn = agc.Stage(
-      "beam_search", {StageArg::Placeholder("state"),
-                      StageArg::Placeholder("scores"),
-                      StageArg::Placeholder("tokens", DType::kInt32)});
-  const RunCounters c = CountRun(
-      fn, {inputs.init_state, inputs.init_scores, inputs.init_tokens});
+  workloads::InstallBeamSearch(agc, SmallBeam(), inputs);
+  StagedFunction fn = StageBeam(agc);
+  const RunCounters c = CountRun(fn, BeamFeeds(inputs));
   EXPECT_EQ(c.kernels, 517);
-  EXPECT_EQ(c.allocs, 370);
+  EXPECT_EQ(c.allocs, 290);
   EXPECT_EQ(c.pooled_allocs, 0);
 }
 
@@ -163,6 +182,31 @@ TEST(Counters, DynamicRnnKernelsAndAllocsPerRun) {
   EXPECT_EQ(c.kernels, 107);
   EXPECT_EQ(c.allocs, 70);
   EXPECT_EQ(c.pooled_allocs, 0);
+}
+
+// The AVX2 MatMul packs B into one pool buffer per call, which with the
+// pool off is one more allocation per MatMul step than the scalar
+// backend makes; every other kernel allocates the same on both.
+TEST(Counters, Avx2AllocsPerRunAddOnePackBufferPerMatMul) {
+  if (!tensor::simd::Avx2Available()) GTEST_SKIP() << "no AVX2 backend";
+  const workloads::BeamInputs beam = workloads::MakeBeamInputs(SmallBeam());
+  const workloads::RnnInputs rnn = workloads::MakeRnnInputs(SmallRnn());
+  AutoGraph beam_agc;
+  workloads::InstallBeamSearch(beam_agc, SmallBeam(), beam);
+  AutoGraph rnn_agc;
+  workloads::InstallRnn(rnn_agc, rnn);
+  StagedFunction beam_fn = StageBeam(beam_agc);
+  StagedFunction rnn_fn = StageRnn(rnn_agc);
+  const std::pair<StagedFunction*, std::vector<exec::RuntimeValue>> runs[] = {
+      {&beam_fn, BeamFeeds(beam)}, {&rnn_fn, RnnFeeds(rnn)}};
+  for (const auto& [fn, feeds] : runs) {
+    const RunCounters scalar = CountRun(*fn, feeds, "scalar");
+    const RunCounters avx2 = CountRun(*fn, feeds, "avx2");
+    EXPECT_EQ(avx2.kernels, scalar.kernels);
+    EXPECT_GT(avx2.matmuls, 0);
+    EXPECT_EQ(avx2.matmuls, scalar.matmuls);
+    EXPECT_EQ(avx2.allocs, scalar.allocs + avx2.matmuls);
+  }
 }
 
 // From .pym, the first Run compiles the top plan and one plan per control

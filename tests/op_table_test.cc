@@ -112,6 +112,7 @@ TEST(OpTable, FlopModelPinsNodeStats) {
       graph::Op(ctx, "Exp", {graph::Op(ctx, "Mul", {x, half})}),    // chain
       graph::Op(ctx, "Less", {x, half}),                            // none
       graph::Op(ctx, "ReduceSum", {x}, {{"axis", int64_t{0}}}),     // reduce
+      graph::Op(ctx, "LogSoftmax", {x}),                            // unit
   };
   graph::OptimizeOptions options;
   options.pipeline = PipelineSpec::Parse("fusion,dce");
@@ -129,6 +130,7 @@ TEST(OpTable, FlopModelPinsNodeStats) {
   EXPECT_EQ(FlopsOf(meta, "FusedElementwise"), 2 * 6);  // 2 body ops
   EXPECT_EQ(FlopsOf(meta, "Less"), 0);
   EXPECT_EQ(FlopsOf(meta, "ReduceSum"), 6);  // one per input element
+  EXPECT_EQ(FlopsOf(meta, "LogSoftmax"), 6);
 }
 
 }  // namespace

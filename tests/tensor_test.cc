@@ -4,9 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "runtime/parallel_for.h"
 #include "support/error.h"
 #include "tensor/rng.h"
+#include "tensor/simd/dispatch.h"
 #include "tensor/tensor_ops.h"
 
 namespace ag {
@@ -31,6 +37,16 @@ TEST(Shape, BroadcastRules) {
   EXPECT_EQ(Shape::Broadcast(Shape(), Shape({2, 2})), Shape({2, 2}));
   EXPECT_FALSE(Shape::BroadcastCompatible(Shape({3}), Shape({4})));
   EXPECT_THROW((void)Shape::Broadcast(Shape({3}), Shape({4})), Error);
+}
+
+// NumPy stretches a size-1 dimension to size 0 too; taking the larger
+// size made [4,0] - [4,1] a [4,1] result that read past the empty operand.
+TEST(Shape, BroadcastStretchesSizeOneToZero) {
+  EXPECT_EQ(Shape::Broadcast(Shape({4, 0}), Shape({4, 1})), Shape({4, 0}));
+  EXPECT_EQ(Shape::Broadcast(Shape({1}), Shape({0})), Shape({0}));
+  const Tensor d =
+      Sub(Tensor::Zeros(Shape({4, 0})), Tensor::Ones(Shape({4, 1})));
+  EXPECT_EQ(d.shape(), Shape({4, 0}));
 }
 
 TEST(Tensor, ConstructorsAndAccessors) {
@@ -205,6 +221,134 @@ TEST(Ops, SoftmaxFamily) {
   EXPECT_NEAR(g.at(0) + g.at(1) + g.at(2), 0.0f, 1e-6f);
 }
 
+// ---- the softmax row kernels against the composed chain ----
+
+using tensor::simd::KernelBackend;
+
+// Bit-for-bit equality, except that any NaN matches any NaN: the sign of
+// a NaN that meets another NaN in an add depends on operand order, which
+// the compiler may swap (it differs between Release and sanitizer builds).
+bool SameBits(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape() || a.dtype() != b.dtype()) return false;
+  for (int64_t i = 0; i < a.num_elements(); ++i) {
+    const float x = a.at(i);
+    const float y = b.at(i);
+    if (std::isnan(x) && std::isnan(y)) continue;
+    if (std::memcmp(&x, &y, sizeof(float)) != 0) return false;
+  }
+  return true;
+}
+
+// The five-pass definitions the row kernels must reproduce bit for bit.
+Tensor ComposedSoftmax(const Tensor& x) {
+  Tensor e = Exp(Sub(x, ReduceMax(x, -1, /*keepdims=*/true)));
+  Tensor s = ReduceSum(e, -1, /*keepdims=*/true);
+  return Div(e, s);
+}
+
+Tensor ComposedLogSoftmax(const Tensor& x) {
+  Tensor shifted = Sub(x, ReduceMax(x, -1, /*keepdims=*/true));
+  return Sub(shifted, Log(ReduceSum(Exp(shifted), -1, /*keepdims=*/true)));
+}
+
+// Calls `body` under each kernel backend (AVX2 degrades to scalar where
+// it is missing) and each intra-op budget.
+template <typename Body>
+void ForEachBackendAndBudget(Body body) {
+  for (KernelBackend backend :
+       {KernelBackend::kScalar, KernelBackend::kAvx2}) {
+    for (int budget : {0, 4}) {
+      tensor::simd::KernelBackendScope scope(backend);
+      runtime::IntraOpScope intra(budget);
+      SCOPED_TRACE(std::string(tensor::simd::KernelBackendName(backend)) +
+                   " budget " + std::to_string(budget));
+      body();
+    }
+  }
+}
+
+TEST(Ops, SoftmaxRowKernelsAreBitIdenticalToComposedChain) {
+  const std::vector<Shape> shapes = {
+      Shape({8, 128}), Shape({1, 1024}), Shape({3, 7}),
+      Shape({2, 3, 5}), Shape({64, 4096}), Shape({5, 1}),
+      Shape({6}), Shape({0, 4}), Shape({4, 0})};
+  ForEachBackendAndBudget([&] {
+    for (const Shape& shape : shapes) {
+      SCOPED_TRACE(shape.str());
+      Rng rng(static_cast<uint64_t>(shape.num_elements()) + 7);
+      const Tensor x = rng.Normal(shape, 0.0f, 4.0f);
+      EXPECT_TRUE(SameBits(Softmax(x), ComposedSoftmax(x)));
+      EXPECT_TRUE(SameBits(LogSoftmax(x), ComposedLogSoftmax(x)));
+    }
+  });
+}
+
+TEST(Ops, SoftmaxRowKernelsMatchComposedChainOnInfNanAndNegativeZero) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Tensor x = Tensor::FromVector(
+      {1,     inf,  2,     3,    4,      // +inf in the middle
+       -inf,  -inf, -inf,  -inf, -inf,   // all -inf
+       nan,   1,    2,     3,    4,      // NaN first: std::max skips it
+       1,     2,    nan,   3,    4,      // NaN later
+       -0.0f, 0.0f, -0.0f, 0.0f, -0.0f,  // signed zeros
+       1,     2,    -inf,  inf,  nan,
+       100,   -100, 88,    89,   -87.5f,  // exp under- and overflow
+       -3,    -1,   -2,    -5,   -4},     // all negative: max below 0
+      Shape({8, 5}));
+  ForEachBackendAndBudget([&] {
+    EXPECT_TRUE(SameBits(Softmax(x), ComposedSoftmax(x)));
+    EXPECT_TRUE(SameBits(LogSoftmax(x), ComposedLogSoftmax(x)));
+  });
+}
+
+TEST(Ops, SoftmaxCrossEntropyFollowsComposedLogSoftmax) {
+  Rng rng(11);
+  const Tensor logits = rng.Normal(Shape({8, 128}), 0.0f, 3.0f);
+  const Tensor labels = rng.UniformInt(Shape({8}), 128);
+  ForEachBackendAndBudget([&] {
+    const Tensor lsm = ComposedLogSoftmax(logits);
+    float total = 0.0f;
+    for (int64_t i = 0; i < 8; ++i) {
+      total -= lsm.at(i * 128 + static_cast<int64_t>(labels.at(i)));
+    }
+    const float expected = total / 8.0f;
+    const float loss = SoftmaxCrossEntropy(logits, labels).scalar();
+    EXPECT_EQ(std::memcmp(&loss, &expected, sizeof(float)), 0);
+
+    const Tensor sm = ComposedSoftmax(logits);
+    std::vector<float> grad(sm.data(), sm.data() + sm.num_elements());
+    for (int64_t i = 0; i < 8; ++i) {
+      grad[static_cast<size_t>(i * 128 + static_cast<int64_t>(
+                                             labels.at(i)))] -= 1.0f;
+    }
+    for (float& g : grad) g *= 1.0f / 8.0f;
+    EXPECT_TRUE(SameBits(SoftmaxCrossEntropyGrad(logits, labels),
+                         Tensor::FromVector(grad, Shape({8, 128}))));
+  });
+}
+
+TEST(Ops, SoftmaxOfScalarRaisesTheReductionAxisError) {
+  const Tensor x = Tensor::Scalar(1.0f);
+  std::string expected;
+  try {
+    (void)ReduceMax(x, -1, /*keepdims=*/true);
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kValue);
+    expected = e.message();
+  }
+  ASSERT_FALSE(expected.empty());
+  for (auto* fn : {&Softmax, &LogSoftmax}) {
+    try {
+      (void)fn(x);
+      ADD_FAILURE() << "no error";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kValue);
+      EXPECT_EQ(e.message(), expected);
+    }
+  }
+}
+
 TEST(Ops, TopK) {
   Tensor a = Tensor::FromVector({3, 1, 4, 1, 5, 9, 2, 6}, Shape({2, 4}));
   auto [values, indices] = TopK(a, 2);
@@ -270,13 +414,75 @@ TEST_P(BroadcastProperty, AddCommutesAndMatchesScalarLoop) {
   EXPECT_TRUE(AllClose(back, a_broadcast, 1e-5f));
 }
 
+// `t` copied out to `shape` by index arithmetic alone, so a same-shape
+// op over the copies is the reference for the broadcast op.
+Tensor Materialize(const Tensor& t, const Shape& shape) {
+  const int r = shape.rank();
+  const int rt = t.rank();
+  std::vector<float> vals(static_cast<size_t>(shape.num_elements()));
+  for (int64_t i = 0; i < shape.num_elements(); ++i) {
+    int64_t rem = i;
+    int64_t src = 0;
+    int64_t stride = 1;
+    for (int d = r - 1; d >= 0; --d) {
+      const int64_t coord = rem % shape.dim(d);
+      rem /= shape.dim(d);
+      const int dt = d - (r - rt);
+      if (dt < 0) continue;
+      if (t.shape().dim(dt) != 1) src += coord * stride;
+      stride *= t.shape().dim(dt);
+    }
+    vals[static_cast<size_t>(i)] = t.at(src);
+  }
+  return Tensor::FromVector(std::move(vals), shape, t.dtype());
+}
+
+TEST_P(BroadcastProperty, EveryBinaryOpEqualsSameShapeOpBitForBit) {
+  using BinaryFn = Tensor (*)(const Tensor&, const Tensor&);
+  const BinaryFn ops[] = {&Add, &Sub, &Mul, &Div, &FloorDiv, &Mod,
+                          &Pow, &Maximum, &Minimum, &Less, &LessEqual,
+                          &Greater, &GreaterEqual, &Equal, &NotEqual,
+                          &LogicalAnd, &LogicalOr};
+  auto [sa, sb] = GetParam();
+  Rng rng(static_cast<uint64_t>(sa.num_elements() * 37 + sb.num_elements()));
+  // Whole halves in [-3, 3], so comparisons see ties and logical ops see
+  // zeros.
+  const auto halves = [&rng](const Shape& shape) {
+    std::vector<float> vals(static_cast<size_t>(shape.num_elements()));
+    for (float& v : vals) v = static_cast<float>(rng.NextInt(13) - 6) / 2.0f;
+    return Tensor::FromVector(std::move(vals), shape);
+  };
+  const Tensor a = halves(sa);
+  const Tensor b = halves(sb);
+  const Shape out = Shape::Broadcast(sa, sb);
+  const Tensor wa = Materialize(a, out);
+  const Tensor wb = Materialize(b, out);
+  for (int budget : {0, 4}) {
+    runtime::IntraOpScope intra(budget);
+    for (size_t k = 0; k < std::size(ops); ++k) {
+      SCOPED_TRACE("op " + std::to_string(k) + " budget " +
+                   std::to_string(budget));
+      EXPECT_TRUE(SameBits(ops[k](a, b), ops[k](wa, wb)));
+      EXPECT_TRUE(SameBits(ops[k](b, a), ops[k](wb, wa)));
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, BroadcastProperty,
     ::testing::Values(std::make_pair(Shape({3, 4}), Shape({4})),
                       std::make_pair(Shape({3, 1}), Shape({1, 4})),
                       std::make_pair(Shape(), Shape({2, 2, 2})),
                       std::make_pair(Shape({2, 1, 3}), Shape({1, 5, 3})),
-                      std::make_pair(Shape({6}), Shape({6}))));
+                      std::make_pair(Shape({6}), Shape({6})),
+                      std::make_pair(Shape({8, 1}), Shape({8, 128})),
+                      std::make_pair(Shape({8, 128}), Shape({128})),
+                      std::make_pair(Shape({2, 1, 3}), Shape({2, 4, 3})),
+                      std::make_pair(Shape({4, 1}), Shape({3})),
+                      std::make_pair(Shape({5, 1, 1}), Shape({1, 1, 6})),
+                      // Above two shard grains: sharded runs.
+                      std::make_pair(Shape({300, 1}), Shape({1, 200})),
+                      std::make_pair(Shape({64, 1, 512}), Shape({8, 1}))));
 
 class ReductionProperty : public ::testing::TestWithParam<int> {};
 
