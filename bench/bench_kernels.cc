@@ -1,12 +1,15 @@
 // Kernel-backend A/B: what the runtime-dispatched SIMD layer (DESIGN.md
 // §4j) buys on the hot tensor kernels, and what int8 buys on top.
 //
-// Four kernel families, each swept over backend × threads {1, 4, 8}:
+// Kernel families, swept over backend × threads {1, 4, 8} unless noted:
 //   MatMul        square sizes 64..512 (512^3 is the acceptance gate:
 //                 AVX2 >= 2x scalar single-thread GFLOP/s, int8 >= 1.5x
 //                 over float AVX2), float backends plus the int8
 //                 quantized path (weights pre-quantized offline, like
 //                 the quantize_weights pass leaves them);
+//   MatMulShape   the serving and decode shapes (m 1..8, where AVX2
+//                 reads B in place) and two shapes that pack B,
+//                 single-threaded;
 //   FusedChain    a staged exp(tanh(x*y)+x) elementwise chain through
 //                 the fusion pipeline — exercises the vectorized
 //                 FusedProgram row loop;
@@ -16,11 +19,14 @@
 //   BroadcastAdd  beam search's two broadcast adds, [8,128]+[128] (the
 //                 output bias) and [8,1]+[8,128] (scores + logp), on the
 //                 run-based broadcast path.
+// plus Transpose, single-threaded: a [16,4,256] (1,0,2) flip, the
+// batch/time swap dynamic_rnn makes on its input and output, which
+// copies whole rows; and a [64,64] (1,0) element shuffle.
 //
 // Each benchmark reports GFLOP/s (GFLOPS counter; nominal flop counts:
 // 2mkn for matmul, ops-per-element for the chain, 4 flops/element for
 // softmax and log-softmax, 1 for the add) and GB/s over the streamed
-// inputs, so backend wins read as
+// inputs (Transpose, a copy, reports GB/s only), so backend wins read as
 // roofline movement rather than raw milliseconds. The A/B numerics
 // contract behind the comparison — scalar bit-stable, AVX2 within the
 // documented ULP bounds, int8 backend-bit-identical — is enforced by
@@ -110,6 +116,51 @@ void BM_MatMul(benchmark::State& state) {
                // logically, but storage is the shared float buffer, so
                // report the float traffic for both paths.
                2.0 * n * n * sizeof(float));
+}
+
+// ---- MatMul at the workloads' shapes --------------------------------------
+
+// [m,k]x[k,n] at the shapes the serving and decode paths run, where the
+// AVX2 kernel reads B in place, plus two whose row blocks read enough of
+// a large B to take its packed branch.
+void BM_MatMulShape(benchmark::State& state) {
+  const int64_t m = state.range(0);
+  const int64_t k = state.range(1);
+  const int64_t n = state.range(2);
+  const int64_t backend = state.range(3);
+  const int threads = static_cast<int>(state.range(4));
+  Tensor a = RandomTensor(Shape({m, k}), 1);
+  Tensor b = RandomTensor(Shape({k, n}), 2);
+  runtime::IntraOpScope intra(threads == 1 ? 0 : threads);
+  KernelBackendScope scope(BackendFor(backend));
+  for (auto _ : state) {
+    Tensor out = MatMul(a, b);
+    benchmark::DoNotOptimize(out.data());
+  }
+  RateCounters(state, 2.0 * m * k * n,
+               static_cast<double>(m * k + k * n) * sizeof(float));
+}
+
+// ---- Transpose ------------------------------------------------------------
+
+// shape 0: [16,4,256] perm (1,0,2), dynamic_rnn's batch/time swap, which
+// keeps the last axis; shape 1: [64,64] perm (1,0), which moves it.
+void BM_Transpose(benchmark::State& state) {
+  const bool flip3 = state.range(0) == 0;
+  const int threads = static_cast<int>(state.range(1));
+  Tensor a = RandomTensor(flip3 ? Shape({16, 4, 256}) : Shape({64, 64}), 8);
+  const std::vector<int> perm =
+      flip3 ? std::vector<int>{1, 0, 2} : std::vector<int>{1, 0};
+  runtime::IntraOpScope intra(threads == 1 ? 0 : threads);
+  for (auto _ : state) {
+    Tensor out = Transpose(a, perm);
+    benchmark::DoNotOptimize(out.data());
+  }
+  // A pure copy: report only GB/s, read plus written.
+  state.counters["GBS"] = benchmark::Counter(
+      2.0 * static_cast<double>(a.num_elements()) * sizeof(float),
+      benchmark::Counter::kIsIterationInvariantRate,
+      benchmark::Counter::kIs1000);
 }
 
 // ---- Fused elementwise chain ---------------------------------------------
@@ -220,6 +271,23 @@ void MatMulArgs(benchmark::internal::Benchmark* b) {
   b->Unit(benchmark::kMicrosecond);
 }
 
+void MatMulShapeArgs(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"m", "k", "n", "backend", "threads"});
+  const int64_t shapes[][3] = {{1, 64, 256},  {1, 256, 256},
+                               {4, 256, 256}, {8, 64, 128},
+                               {8, 1024, 1024}, {128, 512, 512}};
+  for (const auto& [m, k, n] : shapes) {
+    for (int64_t backend : {kScalar, kAvx2}) b->Args({m, k, n, backend, 1});
+  }
+  b->Unit(benchmark::kMicrosecond);
+}
+
+void TransposeArgs(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"shape", "threads"});
+  for (int64_t shape : {0, 1}) b->Args({shape, 1});
+  b->Unit(benchmark::kMicrosecond);
+}
+
 void FusedChainArgs(benchmark::internal::Benchmark* b) {
   b->ArgNames({"elems", "backend", "threads"});
   for (int64_t elems : {1 << 12, 1 << 16, 1 << 20}) {
@@ -255,6 +323,8 @@ void BroadcastAddArgs(benchmark::internal::Benchmark* b) {
 }
 
 BENCHMARK(BM_MatMul)->Apply(MatMulArgs);
+BENCHMARK(BM_MatMulShape)->Apply(MatMulShapeArgs);
+BENCHMARK(BM_Transpose)->Apply(TransposeArgs);
 BENCHMARK(BM_FusedChain)->Apply(FusedChainArgs);
 BENCHMARK(BM_Softmax)->Apply(SoftmaxArgs);
 BENCHMARK(BM_LogSoftmax)->Apply(SoftmaxArgs);

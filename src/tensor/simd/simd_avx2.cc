@@ -16,8 +16,9 @@
 //     subnormal range), tanh(-0) = +0.
 //   - MatMul accumulates each output element over k in ascending order
 //     with FMA, independent of row-block and shard boundaries, so
-//     parallel == sequential bit-identity holds within the backend
-//     (scalar *tails* use std::fmaf in the same k order).
+//     parallel == sequential bit-identity holds within the backend,
+//     and whether B is read in place or packed changes no bit (a
+//     std::fmaf chain over ascending k reproduces every element).
 //   - The int8 qmatmul is exact integer arithmetic: bit-identical to
 //     the scalar reference in quant.cc. _mm256_maddubs_epi16 is
 //     deliberately avoided (it saturates u8*s8 pair sums); the packed
@@ -233,81 +234,109 @@ void VSigmoid(const float* src, float* dst, int64_t n) {
 }
 
 // ---- float MatMul ------------------------------------------------------
-// B is packed once (on the calling thread) into per-16-column tiles laid
-// out [k][16] contiguously, then rows are sharded and processed in
-// 6-row register blocks: 12 ymm accumulators, full-k accumulation in
-// registers (6 broadcasts + 2 tile loads + 12 FMAs per k step). Each
-// C[i][j] is an ascending-k FMA chain regardless of block or shard
-// boundaries — the determinism contract. Tails: row blocks < 6 use the
-// same chain via templated block sizes; the last column tile spills
-// through a 16-float staging buffer.
+// Rows are sharded and processed in 6-row register blocks against
+// 16-column tiles of B: 12 ymm accumulators, full-k accumulation in
+// registers (6 broadcasts + 2 B loads + 12 FMAs per k step). The
+// micro-kernel reads B in place with row stride ldb: a full tile row is
+// the 16 floats at b + kk*ldb + j0, and the last partial tile
+// (n % 16 != 0) loads and stores through lane masks — masked lanes read
+// as 0.0f and never touch memory past B or C. Each C[i][j] is an
+// ascending-k FMA chain from zero regardless of tile, block, shard or
+// packing, which is the determinism contract; row blocks < 6 run the
+// same chain through templated block sizes.
 
 constexpr int64_t kColTile = 16;
 constexpr int64_t kRowBlock = 6;
+// B is copied into contiguous [k][16] tile panels (then read with
+// ldb = 16) only when more than one row block reads it and the row
+// blocks together read at least 2Mi floats (8 MiB) of it. Measured on
+// one core (EXPERIMENTS.md), the copy lost up to 2.3x below that and
+// won up to 2x well above it, where strided rows of a large B keep
+// missing cache.
+constexpr int64_t kPackMinReads = int64_t{2} << 20;
 
-template <int Rows>
-inline void MicroKernel(const float* a, int64_t lda, const float* bpack,
-                        int64_t k, float* c, int64_t ldc, int64_t cols) {
+template <int Rows, bool kMasked>
+inline void MicroKernel(const float* a, int64_t lda, const float* b,
+                        int64_t ldb, int64_t k, float* c, int64_t ldc,
+                        int64_t cols) {
+  __m256i mask0 = _mm256_setzero_si256();
+  __m256i mask1 = _mm256_setzero_si256();
+  if constexpr (kMasked) {
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    const __m256i width = _mm256_set1_epi32(static_cast<int>(cols));
+    mask0 = _mm256_cmpgt_epi32(width, lane);
+    mask1 = _mm256_cmpgt_epi32(
+        width, _mm256_add_epi32(lane, _mm256_set1_epi32(8)));
+  }
   __m256 acc0[Rows], acc1[Rows];
   for (int r = 0; r < Rows; ++r) {
     acc0[r] = _mm256_setzero_ps();
     acc1[r] = _mm256_setzero_ps();
   }
   for (int64_t kk = 0; kk < k; ++kk) {
-    const __m256 b0 = _mm256_loadu_ps(bpack + kk * kColTile);
-    const __m256 b1 = _mm256_loadu_ps(bpack + kk * kColTile + 8);
+    const float* brow = b + kk * ldb;
+    __m256 b0, b1;
+    if constexpr (kMasked) {
+      b0 = _mm256_maskload_ps(brow, mask0);
+      b1 = _mm256_maskload_ps(brow + 8, mask1);
+    } else {
+      b0 = _mm256_loadu_ps(brow);
+      b1 = _mm256_loadu_ps(brow + 8);
+    }
     for (int r = 0; r < Rows; ++r) {
       const __m256 av = _mm256_set1_ps(a[r * lda + kk]);
       acc0[r] = _mm256_fmadd_ps(av, b0, acc0[r]);
       acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
     }
   }
-  if (cols == kColTile) {
-    for (int r = 0; r < Rows; ++r) {
+  for (int r = 0; r < Rows; ++r) {
+    if constexpr (kMasked) {
+      _mm256_maskstore_ps(c + r * ldc, mask0, acc0[r]);
+      _mm256_maskstore_ps(c + r * ldc + 8, mask1, acc1[r]);
+    } else {
       _mm256_storeu_ps(c + r * ldc, acc0[r]);
       _mm256_storeu_ps(c + r * ldc + 8, acc1[r]);
-    }
-  } else {
-    alignas(32) float tmp[kColTile];
-    for (int r = 0; r < Rows; ++r) {
-      _mm256_store_ps(tmp, acc0[r]);
-      _mm256_store_ps(tmp + 8, acc1[r]);
-      std::memcpy(c + r * ldc, tmp, sizeof(float) * cols);
     }
   }
 }
 
+template <bool kMasked>
 inline void RunMicroKernel(int rows, const float* a, int64_t lda,
-                           const float* bpack, int64_t k, float* c,
+                           const float* b, int64_t ldb, int64_t k, float* c,
                            int64_t ldc, int64_t cols) {
   switch (rows) {
-    case 1: MicroKernel<1>(a, lda, bpack, k, c, ldc, cols); break;
-    case 2: MicroKernel<2>(a, lda, bpack, k, c, ldc, cols); break;
-    case 3: MicroKernel<3>(a, lda, bpack, k, c, ldc, cols); break;
-    case 4: MicroKernel<4>(a, lda, bpack, k, c, ldc, cols); break;
-    case 5: MicroKernel<5>(a, lda, bpack, k, c, ldc, cols); break;
-    default: MicroKernel<6>(a, lda, bpack, k, c, ldc, cols); break;
+    case 1: MicroKernel<1, kMasked>(a, lda, b, ldb, k, c, ldc, cols); break;
+    case 2: MicroKernel<2, kMasked>(a, lda, b, ldb, k, c, ldc, cols); break;
+    case 3: MicroKernel<3, kMasked>(a, lda, b, ldb, k, c, ldc, cols); break;
+    case 4: MicroKernel<4, kMasked>(a, lda, b, ldb, k, c, ldc, cols); break;
+    case 5: MicroKernel<5, kMasked>(a, lda, b, ldb, k, c, ldc, cols); break;
+    default: MicroKernel<6, kMasked>(a, lda, b, ldb, k, c, ldc, cols); break;
   }
 }
 
 void MatMulAvx2(const float* a, const float* b, float* c, int64_t m,
                 int64_t k, int64_t n) {
   const int64_t tiles = (n + kColTile - 1) / kColTile;
-  // Packed B comes from the buffer pool so steady-state staged loops
-  // reuse the same block run over run.
-  PooledBuffer pack_buf = BufferPool::Global().Acquire(tiles * k * kColTile);
-  float* pack = pack_buf.mutable_data();
-  for (int64_t t = 0; t < tiles; ++t) {
-    const int64_t j0 = t * kColTile;
-    const int64_t cols = std::min<int64_t>(kColTile, n - j0);
-    float* dst = pack + t * k * kColTile;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float* brow = b + kk * n + j0;
-      float* drow = dst + kk * kColTile;
-      for (int64_t jc = 0; jc < cols; ++jc) drow[jc] = brow[jc];
-      for (int64_t jc = cols; jc < kColTile; ++jc) drow[jc] = 0.0f;
+  // The pack buffer comes from the buffer pool, so a staged loop that
+  // packs reuses the same block run over run. A partial tile's lanes
+  // past `cols` are left unwritten: the masked loads never read them.
+  PooledBuffer pack_buf;
+  const int64_t row_blocks = (m + kRowBlock - 1) / kRowBlock;
+  if (row_blocks > 1 && row_blocks * k * n >= kPackMinReads) {
+    pack_buf = BufferPool::Global().Acquire(tiles * k * kColTile);
+    float* pack = pack_buf.mutable_data();
+    for (int64_t t = 0; t < tiles; ++t) {
+      const int64_t j0 = t * kColTile;
+      const int64_t cols = std::min<int64_t>(kColTile, n - j0);
+      float* dst = pack + t * k * kColTile;
+      for (int64_t kk = 0; kk < k; ++kk) {
+        std::memcpy(dst + kk * kColTile, b + kk * n + j0,
+                    sizeof(float) * static_cast<size_t>(cols));
+      }
     }
   }
+  const float* pack = pack_buf ? pack_buf.data() : nullptr;
+  const int64_t ldb = pack != nullptr ? kColTile : n;
   // Captured on the calling thread; pool helpers have no scope installed
   // (same pattern as the scalar MatMul).
   runtime::CancelCheck* cancel = runtime::CurrentCancelCheck();
@@ -321,8 +350,14 @@ void MatMulAvx2(const float* a, const float* b, float* c, int64_t m,
       for (int64_t t = 0; t < tiles; ++t) {
         const int64_t j0 = t * kColTile;
         const int64_t cols = std::min<int64_t>(kColTile, n - j0);
-        RunMicroKernel(rows, a + i * k, k, pack + t * k * kColTile, k,
-                       c + i * n + j0, n, cols);
+        const float* bt = pack != nullptr ? pack + t * k * kColTile : b + j0;
+        if (cols == kColTile) {
+          RunMicroKernel<false>(rows, a + i * k, k, bt, ldb, k,
+                                c + i * n + j0, n, cols);
+        } else {
+          RunMicroKernel<true>(rows, a + i * k, k, bt, ldb, k,
+                               c + i * n + j0, n, cols);
+        }
       }
     }
   });

@@ -596,9 +596,9 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = TensorAccess::data(out_t);
-  // Vector backend: the table's matmul is a complete driver (packing,
-  // sharding, cancellation) writing every element of po. The scalar
-  // path below stays byte-identical to the seed.
+  // Vector backend: the table's matmul is a complete driver (B read in
+  // place or packed, row sharding, cancellation) writing every element
+  // of po. The scalar path below stays byte-identical to the seed.
   if (auto* fn = tensor::simd::ActiveKernels().matmul) {
     fn(pa, pb, po, m, k, n);
     return out_t;
@@ -752,15 +752,29 @@ Tensor Transpose(const Tensor& a, std::vector<int> perm) {
   const float* p = a.data();
   std::vector<int64_t> idx(static_cast<size_t>(r), 0);
   int64_t src = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    out[static_cast<size_t>(i)] = p[src];
-    for (int d = r - 1; d >= 0; --d) {
+  // Moves the odometer over the first `rank` output dims by one step.
+  const auto advance = [&](int rank) {
+    for (int d = rank - 1; d >= 0; --d) {
       const auto du = static_cast<size_t>(d);
       idx[du] += 1;
       src += src_strides[du];
       if (idx[du] < out_dims[du]) break;
       src -= src_strides[du] * idx[du];
       idx[du] = 0;
+    }
+  };
+  if (r > 0 && perm.back() == r - 1 && n > 0) {
+    // The last axis stays last, so the output is a sequence of whole
+    // input rows: copy each at once, stepping over the outer dims only.
+    const int64_t run = out_dims.back();
+    for (int64_t i = 0; i < n; i += run) {
+      std::copy(p + src, p + src + run, out + i);
+      advance(r - 1);
+    }
+  } else {
+    for (int64_t i = 0; i < n; ++i) {
+      out[static_cast<size_t>(i)] = p[src];
+      advance(r);
     }
   }
   return out_t;

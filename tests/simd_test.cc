@@ -9,8 +9,9 @@
 //   - vtanhf: <= 4 ulp; tanh(-0) = +0 (sign-of-zero deviation).
 //   - vsigmoidf: <= 8 ulp.
 //   - MatMul: reassociated FMA accumulation — compared against the
-//     scalar backend by relative error, not bits. Per-element results
-//     are deterministic (independent of threads and shard layout).
+//     scalar backend by relative error, not bits, and bit for bit
+//     against an ascending-k std::fmaf chain. Per-element results are
+//     deterministic (independent of threads, shard layout and packing).
 // Within one backend, fused and unfused evaluation stay bit-identical:
 // FusedStepAvx2 only vectorizes ops whose vector semantics match the
 // scalar functor exactly, so this file re-runs the fusion A/B identity
@@ -234,6 +235,58 @@ TEST(SimdMatMul, DeterministicAcrossThreadBudgets) {
                             sizeof(float)),
             0)
       << "per-element results must not depend on the shard layout";
+}
+
+// The exact contract behind both tests above: every C[i][j] is a
+// std::fmaf chain over ascending k from +0, however B is read (in place,
+// through the masked partial tile, or from packed panels) and at any
+// intra-op budget. m = 1..13 covers every row-block tail; the n values
+// cover partial tiles on either side of 8 and 16 lanes.
+TEST(SimdMatMul, Avx2IsAscendingKFmaChainBitForBit) {
+  if (!Avx2Available()) GTEST_SKIP() << "no AVX2";
+  struct Case {
+    int64_t m, k, n;
+  };
+  std::vector<Case> cases;
+  for (int64_t m = 1; m <= 13; ++m) {
+    for (int64_t n : {1, 5, 15, 16, 17, 31, 33, 128}) {
+      cases.push_back({m, 19, n});
+    }
+  }
+  // Either side of the pack threshold (more than one 6-row block, and
+  // row blocks x k x n >= 2Mi floats): read in place, then packed with
+  // full tiles and with a 9-lane partial tile.
+  cases.push_back({7, 300, 300});
+  cases.push_back({8, 1024, 1024});
+  cases.push_back({13, 1000, 1001});
+  for (const Case& c : cases) {
+    SCOPED_TRACE("m=" + std::to_string(c.m) + " k=" + std::to_string(c.k) +
+                 " n=" + std::to_string(c.n));
+    const Tensor a = RandomTensor(c.m, c.k, 5 * c.m + c.n);
+    const Tensor b = RandomTensor(c.k, c.n, 13 * c.k + c.n);
+    const float* pa = a.data();
+    const float* pb = b.data();
+    std::vector<float> want(static_cast<size_t>(c.m * c.n));
+    for (int64_t i = 0; i < c.m; ++i) {
+      for (int64_t j = 0; j < c.n; ++j) {
+        float acc = 0.0f;
+        for (int64_t kk = 0; kk < c.k; ++kk) {
+          acc = std::fmaf(pa[i * c.k + kk], pb[kk * c.n + j], acc);
+        }
+        want[static_cast<size_t>(i * c.n + j)] = acc;
+      }
+    }
+    KernelBackendScope scope(KernelBackend::kAvx2);
+    for (int budget : {0, 4}) {
+      runtime::IntraOpScope intra(budget);
+      const Tensor got = MatMul(a, b);
+      ASSERT_EQ(got.num_elements(), c.m * c.n);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            want.size() * sizeof(float)),
+                0)
+          << "budget " << budget;
+    }
+  }
 }
 
 // --- Fused vs unfused, per backend ----------------------------------------

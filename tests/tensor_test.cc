@@ -3,9 +3,11 @@
 // parameterized tests).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -500,6 +502,50 @@ TEST_P(ReductionProperty, SumOverAxisEqualsTotal) {
 
 INSTANTIATE_TEST_SUITE_P(Axes, ReductionProperty,
                          ::testing::Values(0, 1, 2, -1, -2));
+
+// Transpose against index arithmetic: output element i sits at the
+// coordinates of i in the permuted dims, and reads the input at those
+// coordinates dotted with the input strides of the axes they came from.
+// Every perm of ranks 1-4, so both the run-copy path (last axis stays
+// last) and the per-element path run, over size-0 and size-1 dims.
+TEST(Ops, TransposeMatchesIndexArithmeticForEveryPerm) {
+  const std::vector<Shape> shapes = {
+      Shape({5}),       Shape({0}),          Shape({1}),
+      Shape({3, 4}),    Shape({1, 5}),       Shape({0, 3}),
+      Shape({2, 3, 4}), Shape({1, 3, 1}),    Shape({2, 0, 3}),
+      Shape({4, 16, 64}), Shape({2, 3, 4, 5}), Shape({2, 1, 3, 2}),
+      Shape({2, 3, 0, 4}), Shape({1, 1, 1, 1})};
+  for (const Shape& shape : shapes) {
+    std::vector<float> vals(static_cast<size_t>(shape.num_elements()));
+    std::iota(vals.begin(), vals.end(), 0.5f);
+    const Tensor a = Tensor::FromVector(std::move(vals), shape);
+    const std::vector<int64_t> strides = shape.strides();
+    std::vector<int> perm(static_cast<size_t>(shape.rank()));
+    std::iota(perm.begin(), perm.end(), 0);
+    do {
+      std::string name = shape.str() + " perm";
+      for (int p : perm) name += ' ' + std::to_string(p);
+      SCOPED_TRACE(name);
+      std::vector<int64_t> out_dims;
+      for (int p : perm) out_dims.push_back(shape.dim(p));
+      const Shape out_shape(out_dims);
+      std::vector<float> want(static_cast<size_t>(out_shape.num_elements()));
+      for (int64_t i = 0; i < out_shape.num_elements(); ++i) {
+        int64_t rem = i;
+        int64_t src = 0;
+        for (int d = shape.rank() - 1; d >= 0; --d) {
+          const auto du = static_cast<size_t>(d);
+          src += (rem % out_dims[du]) *
+                 strides[static_cast<size_t>(perm[du])];
+          rem /= out_dims[du];
+        }
+        want[static_cast<size_t>(i)] = a.at(src);
+      }
+      EXPECT_TRUE(SameBits(Transpose(a, perm),
+                           Tensor::FromVector(std::move(want), out_shape)));
+    } while (std::next_permutation(perm.begin(), perm.end()));
+  }
+}
 
 class MatMulProperty : public ::testing::TestWithParam<int64_t> {};
 
