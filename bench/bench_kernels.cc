@@ -18,14 +18,19 @@
 //                 LogSoftmax (Appendix D.1);
 //   BroadcastAdd  beam search's two broadcast adds, [8,128]+[128] (the
 //                 output bias) and [8,1]+[8,128] (scores + logp), on the
-//                 run-based broadcast path.
+//                 run-based broadcast path;
+//   TopK          beam search's k=8 of [1,1024] (random rows, and
+//                 ascending rows, where every element enters the scan's
+//                 k best) and of [8,128]; k=32 and k=64 of [1,4096], the
+//                 last k on the one-pass scan and the first past it; and
+//                 k=1024 of [1,1024]; single-threaded.
 // plus Transpose, single-threaded: a [16,4,256] (1,0,2) flip, the
 // batch/time swap dynamic_rnn makes on its input and output, which
 // copies whole rows; and a [64,64] (1,0) element shuffle.
 //
 // Each benchmark reports GFLOP/s (GFLOPS counter; nominal flop counts:
 // 2mkn for matmul, ops-per-element for the chain, 4 flops/element for
-// softmax and log-softmax, 1 for the add) and GB/s over the streamed
+// softmax and log-softmax, 1 for the add and for TopK) and GB/s over the streamed
 // inputs (Transpose, a copy, reports GB/s only), so backend wins read as
 // roofline movement rather than raw milliseconds. The A/B numerics
 // contract behind the comparison — scalar bit-stable, AVX2 within the
@@ -259,6 +264,33 @@ void BM_BroadcastAdd(benchmark::State& state) {
                    sizeof(float));
 }
 
+// ---- TopK -----------------------------------------------------------------
+
+// order 0: random rows; order 1: ascending rows.
+void BM_TopK(benchmark::State& state) {
+  const int64_t rows = state.range(0);
+  const int64_t cols = state.range(1);
+  const int64_t k = state.range(2);
+  const bool ascending = state.range(3) == 1;
+  const int64_t backend = state.range(4);
+  Tensor a = RandomTensor(Shape({rows, cols}), 8);
+  if (ascending) {
+    std::vector<float> vals(static_cast<size_t>(rows * cols));
+    for (size_t i = 0; i < vals.size(); ++i) {
+      vals[i] = static_cast<float>(i % static_cast<size_t>(cols));
+    }
+    a = Tensor::FromVector(std::move(vals), Shape({rows, cols}));
+  }
+  KernelBackendScope scope(BackendFor(backend));
+  for (auto _ : state) {
+    auto [values, indices] = TopK(a, k);
+    benchmark::DoNotOptimize(values.data());
+    benchmark::DoNotOptimize(indices.data());
+  }
+  RateCounters(state, static_cast<double>(rows * cols),
+               static_cast<double>(rows * cols) * sizeof(float));
+}
+
 void MatMulArgs(benchmark::internal::Benchmark* b) {
   b->ArgNames({"n", "backend", "threads"});
   for (int64_t n : {64, 128, 256, 512}) {
@@ -322,6 +354,19 @@ void BroadcastAddArgs(benchmark::internal::Benchmark* b) {
   b->Unit(benchmark::kMicrosecond);
 }
 
+void TopKArgs(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"rows", "cols", "k", "order", "backend", "threads"});
+  const int64_t cases[][4] = {{1, 1024, 8, 0},  {1, 1024, 8, 1},
+                              {8, 128, 8, 0},   {1, 4096, 32, 0},
+                              {1, 4096, 64, 0}, {1, 1024, 1024, 0}};
+  for (const auto& [rows, cols, k, order] : cases) {
+    for (int64_t backend : {kScalar, kAvx2}) {
+      b->Args({rows, cols, k, order, backend, 1});
+    }
+  }
+  b->Unit(benchmark::kMicrosecond);
+}
+
 BENCHMARK(BM_MatMul)->Apply(MatMulArgs);
 BENCHMARK(BM_MatMulShape)->Apply(MatMulShapeArgs);
 BENCHMARK(BM_Transpose)->Apply(TransposeArgs);
@@ -329,6 +374,7 @@ BENCHMARK(BM_FusedChain)->Apply(FusedChainArgs);
 BENCHMARK(BM_Softmax)->Apply(SoftmaxArgs);
 BENCHMARK(BM_LogSoftmax)->Apply(SoftmaxArgs);
 BENCHMARK(BM_BroadcastAdd)->Apply(BroadcastAddArgs);
+BENCHMARK(BM_TopK)->Apply(TopKArgs);
 
 }  // namespace
 }  // namespace ag

@@ -473,7 +473,20 @@ Value BuildTfModule() {
   math->type_name = "module 'tf.math'";
   math->attrs["top_k"] = NativeV("tf.math.top_k", [](Interpreter& in,
                                                      std::vector<Value>& args,
-                                                     Kwargs&) {
+                                                     Kwargs& kwargs) {
+    // top_k(input, k): k may come by keyword; nothing else may.
+    for (const auto& [name, v] : kwargs) {
+      if (name != "k") {
+        throw ValueError(
+            "tf.math.top_k() got an unexpected keyword argument '" + name +
+            "'");
+      }
+      if (args.size() >= 2) {
+        throw ValueError(
+            "tf.math.top_k() got multiple values for argument 'k'");
+      }
+      args.push_back(v);
+    }
     RequireArgs(args, 2, "tf.math.top_k");
     const int64_t k = args[1].AsInt();
     if (ShouldStage(in, args)) {

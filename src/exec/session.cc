@@ -8,6 +8,7 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "runtime/parallel_for.h"
 #include "runtime/thread_pool.h"
@@ -150,6 +151,9 @@ struct Session::ParallelRun {
   // (non-Error) exceptions keep the exception_ptr path.
   std::optional<Error> error;
   std::exception_ptr foreign_error;
+  // Step and kernel counts handed in by participants as their steps end.
+  int64_t nodes_executed = 0;
+  int64_t kernel_invocations = 0;
 
   [[nodiscard]] bool Finished() const {
     return in_flight == 0 && (failed || done == plan->steps.size());
@@ -229,6 +233,15 @@ std::vector<RuntimeValue> Session::Run(
     meta_out->pool_hit_count += p.pool_hit_count - pool0.pool_hit_count;
   };
 
+  // Adds this run's step counts to the session totals, once.
+  auto fold_counts = [&] {
+    stats_.nodes_executed.fetch_add(ctx.nodes_executed,
+                                    std::memory_order_relaxed);
+    stats_.kernel_invocations.fetch_add(ctx.kernel_invocations,
+                                        std::memory_order_relaxed);
+    ++stats_.runs;
+  };
+
   std::vector<RuntimeValue> results;
   try {
     // Admission poll: a run whose (absolute) deadline already passed —
@@ -245,7 +258,7 @@ std::vector<RuntimeValue> Session::Run(
       results = RunPlan(plan, no_args, &slots, ctx);
     }
   } catch (const Error& e) {
-    ++stats_.runs;
+    fold_counts();
     // An interrupted (or otherwise failed) instrumented run still
     // flushes its partial profile, stamped with the interruption
     // outcome and the time it took to unwind — per-run state is on
@@ -274,7 +287,7 @@ std::vector<RuntimeValue> Session::Run(
     }
     throw;
   }
-  ++stats_.runs;
+  fold_counts();
 
   if (instrument) {
     const int64_t wall = obs::NowNs() - t0;
@@ -799,12 +812,12 @@ const Session::Plan& Session::TopPlanFor(const std::vector<Output>& fetches,
 void Session::ExecStep(const Plan::Step& step,
                        std::vector<RuntimeValue>& inputs,
                        std::vector<RuntimeValue>* out, RunCtx& ctx) {
-  ++stats_.nodes_executed;
+  ++ctx.nodes_executed;
   const Node* node = step.node;
   switch (step.kind) {
     case Plan::Kind::kKernel: {
       if (ctx.cancel != nullptr) ctx.cancel->PollKernel(node->name());
-      ++stats_.kernel_invocations;
+      ++ctx.kernel_invocations;
       const int64_t t0 = ctx.rec != nullptr ? obs::NowNs() : 0;
       const int64_t alloc0 =
           ctx.rec != nullptr ? tensor::ThreadAllocCount() : 0;
@@ -1069,7 +1082,9 @@ std::vector<RuntimeValue> Session::RunPlanParallel(
   Drain(run, /*is_caller=*/true);
 
   // Drain returned only after observing completion under run->mu, so
-  // these reads are ordered after every step's effects.
+  // these reads are ordered after every step's effects and counts.
+  ctx.nodes_executed += run->nodes_executed;
+  ctx.kernel_invocations += run->kernel_invocations;
   if (run->failed) {
     if (run->error.has_value()) throw Error(*run->error);
     std::rethrow_exception(run->foreign_error);
@@ -1098,6 +1113,10 @@ std::vector<RuntimeValue> Session::RunPlanParallel(
 
 void Session::Drain(const std::shared_ptr<ParallelRun>& run,
                     bool is_caller) {
+  // This participant's own context: the run's, with its own counts.
+  RunCtx ctx = run->ctx;
+  ctx.nodes_executed = 0;
+  ctx.kernel_invocations = 0;
   for (;;) {
     int s = -1;
     {
@@ -1149,7 +1168,7 @@ void Session::Drain(const std::shared_ptr<ParallelRun>& run,
         }
       }
       run->session->ExecStep(step, inputs,
-                             &run->slots[static_cast<size_t>(s)], run->ctx);
+                             &run->slots[static_cast<size_t>(s)], ctx);
     } catch (const Error& e) {
       std::lock_guard<std::mutex> lock(run->mu);
       if (!run->failed) {
@@ -1182,6 +1201,10 @@ void Session::Drain(const std::shared_ptr<ParallelRun>& run,
     }
     {
       std::lock_guard<std::mutex> lock(run->mu);
+      // Hand this step's counts over before it stops being in flight, so
+      // the caller sees every count once the run is finished.
+      run->nodes_executed += std::exchange(ctx.nodes_executed, 0);
+      run->kernel_invocations += std::exchange(ctx.kernel_invocations, 0);
       --run->in_flight;
       if (ok) {
         ++run->done;

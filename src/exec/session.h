@@ -27,7 +27,8 @@
 //
 // Sessions are safe to Run() from multiple threads concurrently: the
 // plan cache and the variable store are mutex-protected and SessionStats
-// counters are atomic.
+// counters are atomic. A Run counts its steps in its own context and
+// adds them to SessionStats once, when it returns or throws.
 //
 // Observability: every Run overload accepts an optional trailing
 // `const obs::RunOptions*` / `obs::RunMetadata*` pair (TF's
@@ -67,7 +68,8 @@
 namespace ag::exec {
 
 // Counters are atomic so concurrent Run() calls aggregate correctly;
-// they read as plain integers (implicit load).
+// they read as plain integers (implicit load). nodes_executed and
+// kernel_invocations advance when a Run ends, by that Run's counts.
 struct SessionStats {
   std::atomic<int64_t> nodes_executed{0};  // node evals incl. control flow
   std::atomic<int64_t> kernel_invocations{0};  // kernel calls (cumulative)
@@ -254,6 +256,12 @@ class Session {
     // run (pool helpers mirror the scope per drain); unset runs under
     // the process default.
     std::optional<tensor::simd::KernelBackend> kernel_backend;
+    // Steps and kernel launches executed through this context. Run()
+    // adds them to SessionStats once at its end; each parallel-drain
+    // participant counts in its own copy and hands its counts to the
+    // caller's context before the run can finish.
+    int64_t nodes_executed = 0;
+    int64_t kernel_invocations = 0;
   };
 
   // Shared run state of one parallel plan execution (defined in the

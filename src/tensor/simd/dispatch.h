@@ -62,6 +62,12 @@ struct KernelTable {
   bool (*fused_step)(const FusedStep& step, const float* a, const float* b,
                      float* dst, int64_t m) = nullptr;
 
+  // TopK's row-scan filter: the offset of the first element of x[0, n)
+  // that is not <= kth (greater, or NaN), or n when there is none. It
+  // only skips; TopK itself orders and inserts (tensor_ops.cc), so every
+  // backend returns the same result.
+  int64_t (*topk_skip)(const float* x, int64_t n, float kth) = nullptr;
+
   // int8 x int8 -> int32 inner product: qa [m,k], qw [k,n], both
   // row-major; acc [m,n] fully written. Integer math is exact, so every
   // backend's qmatmul produces identical accumulators (quant.cc tests

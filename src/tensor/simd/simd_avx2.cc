@@ -713,6 +713,26 @@ void QMatMulAvx2(const int8_t* qa, const int8_t* qw, int32_t* acc,
   });
 }
 
+// ---- TopK row-scan filter -----------------------------------------------
+// _CMP_NLE_UQ is "not <=", true for greater and for NaN, the same
+// predicate as the scalar skip loop in TopK.
+int64_t TopKSkip(const float* x, int64_t n, float kth) {
+  const __m256 t = _mm256_set1_ps(kth);
+  int64_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    const unsigned lo = static_cast<unsigned>(_mm256_movemask_ps(
+        _mm256_cmp_ps(_mm256_loadu_ps(x + j), t, _CMP_NLE_UQ)));
+    const unsigned hi = static_cast<unsigned>(_mm256_movemask_ps(
+        _mm256_cmp_ps(_mm256_loadu_ps(x + j + 8), t, _CMP_NLE_UQ)));
+    const unsigned mask = lo | (hi << 8);
+    if (mask != 0) return j + std::countr_zero(mask);
+  }
+  for (; j < n; ++j) {
+    if (!(x[j] <= kth)) return j;
+  }
+  return n;
+}
+
 }  // namespace
 
 const KernelTable& Avx2KernelTable() {
@@ -725,6 +745,7 @@ const KernelTable& Avx2KernelTable() {
     t.vsigmoid = &VSigmoid;
     t.fused_step = &FusedStepAvx2;
     t.qmatmul = &QMatMulAvx2;
+    t.topk_skip = &TopKSkip;
     return t;
   }();
   return table;

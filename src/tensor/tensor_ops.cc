@@ -986,6 +986,29 @@ Tensor Where(const Tensor& cond, const Tensor& x, const Tensor& y) {
   return out_t;
 }
 
+float RowMax(const float* x, int64_t n) {
+  constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+  // Element j goes to lane j % 8. Each lane, and the combine, is a
+  // std::max chain from -inf, so NaNs are skipped exactly as in one chain
+  // and the maximum value is the same; eight chains run side by side.
+  float lane[8] = {kNegInf, kNegInf, kNegInf, kNegInf,
+                   kNegInf, kNegInf, kNegInf, kNegInf};
+  int64_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    for (int l = 0; l < 8; ++l) lane[l] = std::max(lane[l], x[j + l]);
+  }
+  for (; j < n; ++j) lane[j % 8] = std::max(lane[j % 8], x[j]);
+  float m = kNegInf;
+  for (float v : lane) m = std::max(m, v);
+  // Only a zero max can differ: one chain keeps the first zero it meets,
+  // whose sign the lanes may not. Rerun the one chain for that row.
+  if (m == 0.0f) {
+    m = kNegInf;
+    for (j = 0; j < n; ++j) m = std::max(m, x[j]);
+  }
+  return m;
+}
+
 namespace {
 
 // Softmax (kLog false) or LogSoftmax (kLog true) over the last axis, one
@@ -993,11 +1016,12 @@ namespace {
 // operations of the composed chain
 //   m = ReduceMax(x); e = Exp(x - m); s = ReduceSum(e);
 //   Softmax = e / s;  LogSoftmax = (x - m) - Log(s)
-// in the same order — max by std::max from -inf and the sum from 0, both
-// in index order, exp through the active table's vexp (std::exp when it
-// is null) — so the result is bit-identical to that chain on every
-// backend. vexp is position-independent, which lets LogSoftmax take the
-// exps of a row in stack-sized chunks; Softmax keeps them in the output.
+// in the same order — the max as RowMax takes it (the value and sign of
+// ReduceMax's std::max chain), the sum from 0 in index order, exp through
+// the active table's vexp (std::exp when it is null) — so the result is
+// bit-identical to that chain on every backend. vexp is
+// position-independent, which lets LogSoftmax take the exps of a row in
+// stack-sized chunks; Softmax keeps them in the output.
 template <bool kLog>
 Tensor SoftmaxRows(const Tensor& logits) {
   // Rank 0 fails here with ReduceMax's "axis -1 out of range" error.
@@ -1016,8 +1040,7 @@ Tensor SoftmaxRows(const Tensor& logits) {
     for (int64_t r = r0; r < r1; ++r) {
       const float* x = px + r * cols;
       float* y = po + r * cols;
-      float m = -std::numeric_limits<float>::infinity();
-      for (int64_t j = 0; j < cols; ++j) m = std::max(m, x[j]);
+      const float m = RowMax(x, cols);
       for (int64_t j = 0; j < cols; ++j) y[j] = x[j] - m;
       float sum = 0.0f;
       for (int64_t j0 = 0; j0 < cols; j0 += kChunk) {
@@ -1111,6 +1134,24 @@ Tensor OneHot(const Tensor& indices, int64_t depth) {
   return out_t;
 }
 
+namespace {
+
+// TopK's total order: NaN ranks above every number, then values descend
+// (+0 and -0 equal), then the lower index wins. Above(x, y) says that x
+// ranks above y when x has the higher index, so a tie leaves x below.
+bool Above(float x, float y) {
+  return x > y || (std::isnan(x) && !std::isnan(y));
+}
+
+// The whole order on element indices of one row.
+bool RanksBefore(const float* row, int64_t x, int64_t y) {
+  if (Above(row[x], row[y])) return true;
+  if (Above(row[y], row[x])) return false;
+  return x < y;
+}
+
+}  // namespace
+
 std::pair<Tensor, Tensor> TopK(const Tensor& a, int64_t k) {
   if (a.rank() < 1) throw ValueError("TopK: scalar input");
   const int64_t last = a.shape().dim(a.rank() - 1);
@@ -1126,16 +1167,67 @@ std::pair<Tensor, Tensor> TopK(const Tensor& a, int64_t k) {
   Tensor indices_t = NewOut(out_shape, DType::kInt32);
   float* values = TensorAccess::data(values_t);
   float* indices = TensorAccess::data(indices_t);
-  std::vector<int64_t> order(static_cast<size_t>(last));
+  // One pass per row over the k best so far. Once k are held, only an
+  // element that ranks above the k-th can enter; for a numeric k-th that
+  // is exactly "not <= kth", and the table's skip entry finds the next
+  // such element. A NaN k-th ends the row: k NaNs at the lowest indices
+  // rank above everything after them. Up to the cutover the k best are
+  // kept sorted in the output row, and an entrant takes the k-th's slot
+  // and shifts up past each entry it ranks above; past it they are kept
+  // in a heap of indices whose top is the k-th.
+  auto* const skip = tensor::simd::ActiveKernels().topk_skip;
+  const bool sorted = k <= kTopKScanMaxK;
+  std::vector<int64_t> heap(sorted ? 0 : static_cast<size_t>(k));
   for (int64_t r = 0; r < rows; ++r) {
     const float* row = a.data() + r * last;
-    std::iota(order.begin(), order.end(), 0);
-    std::partial_sort(order.begin(), order.begin() + k, order.end(),
-                      [row](int64_t x, int64_t y) { return row[x] > row[y]; });
-    for (int64_t j = 0; j < k; ++j) {
-      values[static_cast<size_t>(r * k + j)] = row[order[static_cast<size_t>(j)]];
-      indices[static_cast<size_t>(r * k + j)] =
-          static_cast<float>(order[static_cast<size_t>(j)]);
+    float* v = values + r * k;
+    float* ix = indices + r * k;
+    auto before = [row](int64_t x, int64_t y) {
+      return RanksBefore(row, x, y);
+    };
+    // Inserts row[j] into the sorted slots [0, p], moving each entry it
+    // ranks above down one slot.
+    auto insert = [&](int64_t j, int64_t p) {
+      const float x = row[j];
+      for (; p > 0 && Above(x, v[p - 1]); --p) {
+        v[p] = v[p - 1];
+        ix[p] = ix[p - 1];
+      }
+      v[p] = x;
+      ix[p] = static_cast<float>(j);
+    };
+    if (sorted) {
+      for (int64_t j = 0; j < k; ++j) insert(j, j);
+    } else {
+      std::iota(heap.begin(), heap.end(), 0);
+      std::make_heap(heap.begin(), heap.end(), before);
+    }
+    for (int64_t j = k; j < last; ++j) {
+      const float kth = sorted ? v[k - 1] : row[heap.front()];
+      if (std::isnan(kth)) break;
+      if (row[j] <= kth) {
+        if (skip != nullptr) {
+          j += skip(row + j, last - j, kth);
+        } else {
+          while (j < last && row[j] <= kth) ++j;
+        }
+        if (j == last) break;
+      }
+      if (sorted) {
+        insert(j, k - 1);
+      } else {
+        std::pop_heap(heap.begin(), heap.end(), before);
+        heap.back() = j;
+        std::push_heap(heap.begin(), heap.end(), before);
+      }
+    }
+    if (!sorted) {
+      std::sort_heap(heap.begin(), heap.end(), before);
+      for (int64_t j = 0; j < k; ++j) {
+        const int64_t i = heap[static_cast<size_t>(j)];
+        v[j] = row[i];
+        ix[j] = static_cast<float>(i);
+      }
     }
   }
   return {std::move(values_t), std::move(indices_t)};

@@ -194,6 +194,11 @@ struct FusedProgram {
 // ---- Neural-network fused ops ----
 [[nodiscard]] Tensor Softmax(const Tensor& logits);      // last axis
 [[nodiscard]] Tensor LogSoftmax(const Tensor& logits);   // last axis
+// The max of x[0, n) with the value and sign that ReduceMax's chain
+// m = std::max(m, x[j]) from m = -inf gives (NaNs skipped; a zero max
+// has the sign of the first zero met), taken in eight interleaved lanes.
+// Softmax and LogSoftmax take each row's max with it.
+[[nodiscard]] float RowMax(const float* x, int64_t n);
 // Mean cross entropy over batch; labels are sparse int class ids [batch].
 [[nodiscard]] Tensor SoftmaxCrossEntropy(const Tensor& logits,
                                          const Tensor& labels);
@@ -207,8 +212,13 @@ struct FusedProgram {
 
 // ---- Top-K (last axis) ----
 // Returns {values, indices}, both shaped like `a` with last dim replaced
-// by k, values sorted descending.
+// by k, in one total order: NaN first, then values descending (+0 and -0
+// equal), then the lower index first. Like torch.topk on NaN; the order
+// makes the result unique, so every backend and k path agrees.
 [[nodiscard]] std::pair<Tensor, Tensor> TopK(const Tensor& a, int64_t k);
+// TopK scans each row once, keeping the k best so far: sorted, for k up
+// to this; in a heap, above it.
+inline constexpr int64_t kTopKScanMaxK = 32;
 
 // ---- Gradient helper ----
 // Reduce-sums `grad` down to `target` so that broadcasted binary ops can

@@ -267,6 +267,40 @@ TEST(BuiltinTable, UnknownKeywordIsAValueError) {
   ExpectBitIdentical(expected, RunStaged(keepdims, {x}, "ReduceSum"), "staged");
 }
 
+// tf.math.top_k takes k positionally or as k=, eager and staged, and
+// rejects any other keyword instead of dropping it.
+TEST(BuiltinTable, TopKTakesKByKeywordAndRejectsOthers) {
+  const Tensor x = Floats({0.5f, 1.5f, 2.0f, 0.25f}, Shape({2, 2}));
+  const Tensor values = Floats({1.5f, 2.0f}, Shape({2, 1}));
+  for (const std::string call :
+       {"tf.math.top_k(a, 1)[0]", "tf.math.top_k(a, k=1)[0]"}) {
+    ExpectBitIdentical(values, RunEager(Source(call, 1), {x}), call);
+    ExpectBitIdentical(values, RunStaged(Source(call, 1), {x}, "TopK"), call);
+  }
+  for (const auto& [call, message] :
+       std::map<std::string, std::string>{
+           {"tf.math.top_k(a, 1, sorted=False)",
+            "tf.math.top_k() got an unexpected keyword argument 'sorted'"},
+           {"tf.math.top_k(a, 1, k=1)",
+            "tf.math.top_k() got multiple values for argument 'k'"}}) {
+    for (const bool staged : {false, true}) {
+      AutoGraph agc;
+      agc.LoadSource(Source(call, 1));
+      try {
+        if (staged) {
+          (void)agc.Stage("f", {StageArg::Placeholder("a", DType::kFloat32)});
+        } else {
+          (void)agc.CallEager("f", {Value(x)});
+        }
+        ADD_FAILURE() << call << " did not throw, staged=" << staged;
+      } catch (const Error& e) {
+        EXPECT_EQ(e.kind(), ErrorKind::kValue) << call;
+        EXPECT_EQ(e.message(), message) << call;
+      }
+    }
+  }
+}
+
 TEST(BuiltinTable, LanternReductionWithoutAnOpSaysTheOpIsUnsupported) {
   for (const char* name : {"reduce_mean", "reduce_max", "reduce_min"}) {
     AutoGraph agc;

@@ -8,6 +8,8 @@
 #include <chrono>
 #include <cstring>
 #include <limits>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -468,6 +470,59 @@ TEST(SessionParallel, ConcurrentRunsShareOneSession) {
   EXPECT_GE(session.stats().runs, kThreads * kRunsPerThread);
 }
 
+// Each Run counts its steps in its own context and adds them to the
+// session once; runs racing on one Session must still sum exactly.
+TEST(SessionParallel, ConcurrentRunsSumStepCountsExactly) {
+  Graph g;
+  GraphContext ctx(&g);
+  Output limit = Placeholder(ctx, "n", DType::kInt32);
+  std::vector<Output> outs = While(
+      ctx, {Const(ctx, Tensor::ScalarInt(0)), Const(ctx, Tensor::Scalar(0.0f))},
+      [&](const std::vector<Output>& args) {
+        return Op(ctx, "Less", {args[0], limit});
+      },
+      [&](const std::vector<Output>& args) {
+        Output inc =
+            Op(ctx, "Add", {args[0], Const(ctx, Tensor::ScalarInt(1))});
+        Output acc = Op(ctx, "Add", {args[1], Op(ctx, "Tanh", {args[1]})});
+        return std::vector<Output>{inc, acc};
+      });
+  const std::map<std::string, RuntimeValue> feeds = {
+      {"n", Tensor::ScalarInt(5)}};
+
+  Session session(&g);
+  (void)session.Run(feeds, outs);
+  const int64_t nodes0 = session.stats().nodes_executed;
+  const int64_t kernels0 = session.stats().kernel_invocations;
+  (void)session.Run(feeds, outs);
+  const int64_t nodes_per_run = session.stats().nodes_executed - nodes0;
+  const int64_t kernels_per_run =
+      session.stats().kernel_invocations - kernels0;
+  ASSERT_GT(kernels_per_run, 0);
+
+  constexpr int kThreads = 8;
+  constexpr int kRunsPerThread = 25;
+  const int64_t nodes1 = session.stats().nodes_executed;
+  const int64_t kernels1 = session.stats().kernel_invocations;
+  const int64_t runs1 = session.stats().runs;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      obs::RunOptions opts = ParallelOptions(t % 4);
+      for (int r = 0; r < kRunsPerThread; ++r) {
+        (void)session.Run(feeds, outs, &opts);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  constexpr int64_t kRuns = kThreads * kRunsPerThread;
+  EXPECT_EQ(session.stats().runs - runs1, kRuns);
+  EXPECT_EQ(session.stats().nodes_executed - nodes1, kRuns * nodes_per_run);
+  EXPECT_EQ(session.stats().kernel_invocations - kernels1,
+            kRuns * kernels_per_run);
+}
+
 TEST(SessionParallel, ConcurrentVariableWritesStayConsistent) {
   Graph g;
   GraphContext ctx(&g);
@@ -663,6 +718,58 @@ TEST(Cancellation, FaultInjectedCancelAtEveryKernelIndex) {
     EXPECT_GT(first_completed, 0) << "inter=" << inter
                                   << ": inject=0 should cancel before "
                                      "any kernel runs";
+  }
+}
+
+// A run that is cancelled or fails still adds every step it began to
+// the session's counts, in both engines.
+TEST(Cancellation, CancelledAndFailedRunsFoldExactStepCounts) {
+  Graph g;
+  GraphContext ctx(&g);
+  Output x = Placeholder(ctx, "x", DType::kFloat32);
+  Output v = x;
+  for (int i = 0; i < 4; ++i) v = Op(ctx, "Tanh", {v});
+  Output check = Op(ctx, "Assert",
+                    {Op(ctx, "Less", {v, Const(ctx, Tensor::Scalar(0.0f))})},
+                    {{"message", std::string("not negative")}});
+
+  Session session(&g);
+  for (int inter : {0, 2}) {
+    SCOPED_TRACE("inter " + std::to_string(inter));
+    // Cancelled before kernel `inject` + 1 of the Tanh chain: the
+    // Placeholder, `inject` kernels and the refused step were begun.
+    for (int64_t inject = 0; inject < 4; ++inject) {
+      obs::RunOptions opts = ParallelOptions(inter);
+      opts.inject_cancel_after_kernels = inject;
+      const int64_t nodes0 = session.stats().nodes_executed;
+      const int64_t kernels0 = session.stats().kernel_invocations;
+      const int64_t runs0 = session.stats().runs;
+      EXPECT_THROW((void)session.RunTensor({{"x", Tensor::Scalar(0.5f)}}, v,
+                                           &opts),
+                   Error);
+      EXPECT_EQ(session.stats().nodes_executed - nodes0, inject + 2);
+      EXPECT_EQ(session.stats().kernel_invocations - kernels0, inject);
+      EXPECT_EQ(session.stats().runs - runs0, 1);
+    }
+    // A failing Assert is the last step, so the failed run began every
+    // step the passing run did.
+    obs::RunOptions opts = ParallelOptions(inter);
+    int64_t counts[2][2] = {};
+    for (const float sign : {-1.0f, 1.0f}) {
+      const int64_t nodes0 = session.stats().nodes_executed;
+      const int64_t kernels0 = session.stats().kernel_invocations;
+      try {
+        (void)session.Run({{"x", Tensor::Scalar(sign)}}, {check}, &opts);
+        EXPECT_LT(sign, 0.0f);
+      } catch (const Error& e) {
+        EXPECT_GT(sign, 0.0f) << e.what();
+      }
+      counts[sign > 0][0] = session.stats().nodes_executed - nodes0;
+      counts[sign > 0][1] = session.stats().kernel_invocations - kernels0;
+    }
+    EXPECT_EQ(counts[0][0], 8);  // Placeholder, 4 Tanh, Const, Less, Assert
+    EXPECT_EQ(counts[1][0], counts[0][0]);
+    EXPECT_EQ(counts[1][1], counts[0][1]);
   }
 }
 

@@ -304,6 +304,70 @@ TEST(Ops, SoftmaxRowKernelsMatchComposedChainOnInfNanAndNegativeZero) {
   });
 }
 
+// RowMax takes eight lanes (element j in lane j % 8) where ReduceMax
+// runs one std::max chain. Rows that tell the two apart: zeros of both
+// signs in different lanes and blocks, NaN in the first and last lane,
+// and every tail length around the lane width. The sign of a zero max
+// never shows in Softmax or LogSoftmax (two zeros make the sum at least
+// 2), so the row max itself is held to the chain's bits.
+TEST(Ops, SoftmaxLaneMaxMatchesOneChainOnEdgeRows) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const int64_t cols : {1, 7, 8, 9, 15, 16, 17}) {
+    SCOPED_TRACE("cols " + std::to_string(cols));
+    std::vector<std::vector<float>> rows;
+    Rng rng(static_cast<uint64_t>(cols));
+    const Tensor noise = rng.Normal(Shape({cols}), -3.0f, 1.0f);
+    const std::vector<float> base(noise.data(), noise.data() + cols);
+    // +0 in a lane of block 0 and -0 in an earlier lane of a later
+    // block, and the same with the signs swapped.
+    for (const float first : {0.0f, -0.0f}) {
+      for (int64_t plus = 1; plus < std::min<int64_t>(cols, 8); ++plus) {
+        for (int64_t minus = 8; minus < cols; ++minus) {
+          if (minus % 8 >= plus) continue;
+          std::vector<float> row = base;
+          row[static_cast<size_t>(plus)] = first;
+          row[static_cast<size_t>(minus)] = -first;
+          rows.push_back(row);
+        }
+      }
+      std::vector<float> row(static_cast<size_t>(cols), -inf);
+      row.back() = first;
+      rows.push_back(row);
+      row.front() = -first;
+      rows.push_back(row);
+    }
+    // NaN in lanes 0 and 7 (of every block), over numbers and over zeros.
+    for (const float fill : {1.0f, 0.0f, -0.0f, -inf}) {
+      std::vector<float> row = base;
+      for (int64_t j = 0; j < cols; ++j) {
+        if (j % 8 == 0 || j % 8 == 7) row[static_cast<size_t>(j)] = nan;
+        else if (fill != 1.0f) row[static_cast<size_t>(j)] = fill;
+      }
+      rows.push_back(row);
+    }
+    rows.push_back(std::vector<float>(static_cast<size_t>(cols), nan));
+    rows.push_back(base);
+    for (const std::vector<float>& row : rows) {
+      float chain = -inf;
+      for (float v : row) chain = std::max(chain, v);
+      const float lanes = RowMax(row.data(), cols);
+      EXPECT_EQ(std::memcmp(&lanes, &chain, sizeof(float)), 0)
+          << "lanes " << lanes << " chain " << chain;
+    }
+    std::vector<float> all;
+    for (const std::vector<float>& row : rows) {
+      all.insert(all.end(), row.begin(), row.end());
+    }
+    const Tensor x = Tensor::FromVector(
+        all, Shape({static_cast<int64_t>(rows.size()), cols}));
+    ForEachBackendAndBudget([&] {
+      EXPECT_TRUE(SameBits(Softmax(x), ComposedSoftmax(x)));
+      EXPECT_TRUE(SameBits(LogSoftmax(x), ComposedLogSoftmax(x)));
+    });
+  }
+}
+
 TEST(Ops, SoftmaxCrossEntropyFollowsComposedLogSoftmax) {
   Rng rng(11);
   const Tensor logits = rng.Normal(Shape({8, 128}), 0.0f, 3.0f);
@@ -360,6 +424,137 @@ TEST(Ops, TopK) {
   EXPECT_FLOAT_EQ(values.at(2), 9);
   EXPECT_FLOAT_EQ(indices.at(2), 1);
   EXPECT_THROW((void)TopK(a, 5), Error);
+}
+
+std::vector<float> Column(const Tensor& t) {
+  return std::vector<float>(t.data(), t.data() + t.num_elements());
+}
+
+TEST(Ops, TopKBreaksTiesByLowerIndexAndRanksNanFirst) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Tensor ties = Tensor::FromVector({1, 5, 5, 2, 5, 0, 5, 3, 5, 5, 1, 5},
+                                         Shape({12}));
+  const Tensor with_nan = Tensor::FromVector({nan, 1, 2, 3, nan, 4}, Shape({6}));
+  ForEachBackendAndBudget([&] {
+    auto [values, indices] = TopK(ties, 4);
+    EXPECT_EQ(Column(values), (std::vector<float>{5, 5, 5, 5}));
+    EXPECT_EQ(Column(indices), (std::vector<float>{1, 2, 4, 6}));
+    auto [nan_values, nan_indices] = TopK(with_nan, 3);
+    EXPECT_TRUE(std::isnan(nan_values.at(0)));
+    EXPECT_TRUE(std::isnan(nan_values.at(1)));
+    EXPECT_EQ(nan_values.at(2), 4.0f);
+    EXPECT_EQ(Column(nan_indices), (std::vector<float>{0, 4, 5}));
+  });
+}
+
+// TopK against a stable sort of each row under the documented order
+// (NaN first, then values descending with +0 == -0, then lower index),
+// on both k paths and both backends, for rows built to trip each rule.
+TEST(Ops, TopKMatchesStableSortUnderTheTotalOrder) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  struct Case {
+    Shape shape;
+    int64_t k;
+  };
+  const int64_t cut = kTopKScanMaxK;
+  const std::vector<Case> cases = {
+      {Shape({1, 1024}), 1},    {Shape({1, 1024}), 8},
+      {Shape({1, 1024}), 1024}, {Shape({8, 128}), 8},
+      {Shape({3, 7}), 3},       {Shape({3, 7}), 7},
+      {Shape({5, 1}), 1},       {Shape({2, 3, 5}), 2},
+      {Shape({64, 4096}), 16},  {Shape({2, 3 * cut}), cut},
+      {Shape({2, 3 * cut}), cut + 1}};
+  // Each row is drawn from one of these contents.
+  enum Content {
+    kRandom, kTies, kZerosAndInfs, kNanInFirstK, kNanAfterFirstK,
+    kAscending, kDescending, kMostlyNan, kContents
+  };
+  auto fill = [&](Content content, int64_t cols, int64_t k, Rng& rng) {
+    const Tensor normal = rng.Normal(Shape({cols}), 0.0f, 2.0f);
+    const Tensor small = rng.UniformInt(Shape({cols}), 4);
+    std::vector<float> row(static_cast<size_t>(cols));
+    for (int64_t j = 0; j < cols; ++j) {
+      float& v = row[static_cast<size_t>(j)];
+      const int64_t pick = static_cast<int64_t>(small.at(j));
+      switch (content) {
+        case kRandom: v = normal.at(j); break;
+        case kTies: v = pick == 0 ? (j % 2 == 0 ? 0.0f : -0.0f)
+                                  : static_cast<float>(pick); break;
+        case kZerosAndInfs: {
+          const float pool[] = {0.0f, -0.0f, inf, -inf};
+          v = pool[pick];
+          break;
+        }
+        case kNanInFirstK: v = j < k && j % 3 == 1 ? nan : normal.at(j); break;
+        case kNanAfterFirstK:
+          v = j >= k && j % 3 == 1 ? nan : normal.at(j);
+          break;
+        case kAscending: v = static_cast<float>(j); break;
+        case kDescending: v = -static_cast<float>(j); break;
+        case kMostlyNan: v = pick == 0 ? normal.at(j) : nan; break;
+        case kContents: break;
+      }
+    }
+    return row;
+  };
+  auto ranks_above = [](float x, float y) {
+    return x > y || (std::isnan(x) && !std::isnan(y));
+  };
+  for (const Case& c : cases) {
+    const int64_t cols = c.shape.dim(-1);
+    const int64_t rows = c.shape.num_elements() / cols;
+    for (int content = 0; content <= kContents; ++content) {
+      SCOPED_TRACE(c.shape.str() + " k " + std::to_string(c.k) +
+                   " content " + std::to_string(content));
+      // content == kContents mixes every content, one per row.
+      Rng rng(static_cast<uint64_t>(cols * 31 + c.k + content));
+      std::vector<float> data;
+      for (int64_t r = 0; r < rows; ++r) {
+        const Content row_content = static_cast<Content>(
+            content == kContents ? r % kContents : content);
+        const std::vector<float> row = fill(row_content, cols, c.k, rng);
+        data.insert(data.end(), row.begin(), row.end());
+      }
+      const Tensor x = Tensor::FromVector(data, c.shape);
+      std::vector<float> want_values;
+      std::vector<float> want_indices;
+      std::vector<int64_t> order(static_cast<size_t>(cols));
+      for (int64_t r = 0; r < rows; ++r) {
+        const float* row = data.data() + r * cols;
+        std::iota(order.begin(), order.end(), 0);
+        std::stable_sort(order.begin(), order.end(),
+                         [&](int64_t a, int64_t b) {
+                           return ranks_above(row[a], row[b]);
+                         });
+        for (int64_t j = 0; j < c.k; ++j) {
+          want_values.push_back(row[order[static_cast<size_t>(j)]]);
+          want_indices.push_back(
+              static_cast<float>(order[static_cast<size_t>(j)]));
+        }
+      }
+      std::vector<std::pair<Tensor, Tensor>> per_backend;
+      ForEachBackendAndBudget([&] {
+        auto [values, indices] = TopK(x, c.k);
+        std::vector<int64_t> dims = c.shape.dims();
+        dims.back() = c.k;
+        ASSERT_EQ(values.shape(), Shape(dims));
+        ASSERT_EQ(indices.shape(), Shape(dims));
+        EXPECT_EQ(indices.dtype(), DType::kInt32);
+        EXPECT_EQ(Column(indices), want_indices);
+        EXPECT_EQ(std::memcmp(values.data(), want_values.data(),
+                              want_values.size() * sizeof(float)),
+                  0);
+        per_backend.emplace_back(values, indices);
+      });
+      for (const auto& [values, indices] : per_backend) {
+        EXPECT_EQ(std::memcmp(values.data(), per_backend[0].first.data(),
+                              want_values.size() * sizeof(float)),
+                  0);
+        EXPECT_EQ(Column(indices), Column(per_backend[0].second));
+      }
+    }
+  }
 }
 
 TEST(Ops, OneHotAndRange) {
