@@ -405,36 +405,40 @@ void ReadGraphTable(ByteReader& r, ArtifactFunction& fn, GraphTable& table,
   fn.graph = table.graphs.front();
 }
 
+// exec::BindStep, with a failure (a malformed attr in a file not yet
+// verified) reported as an artifact error.
+exec::BoundStep Bind(const ByteReader& r, const graph::Node& node) {
+  try {
+    return exec::BindStep(node);
+  } catch (const Error& e) {
+    r.Fail("plan step for node '" + node.name() + "': " + e.message());
+  }
+}
+
 Session::Plan ReadPlan(ByteReader& r, const GraphTable& table) {
   Session::Plan plan;
   const uint32_t num_steps = r.Count(18);
   const int steps_total = static_cast<int>(num_steps);
   plan.steps.reserve(num_steps);
   for (uint32_t si = 0; si < num_steps; ++si) {
-    Session::Plan::Step step;
     const uint32_t gi = r.U32();
     const uint32_t ni = r.U32();
-    step.node = table.NodeAt(r, gi, ni);
+    const graph::Node* node = table.NodeAt(r, gi, ni);
     const uint8_t kind = r.U8();
     if (kind > static_cast<uint8_t>(Session::Plan::Kind::kAssign)) {
       r.Fail("unknown plan step kind " + std::to_string(kind));
     }
-    step.kind = static_cast<Session::Plan::Kind>(kind);
     // The op table's kind, the one CompilePlan assigns: a kind byte that
     // disagrees is rejected before it can misexecute.
-    if (step.kind != graph::KindForOp(step.node->op())) {
-      r.Fail("plan step kind disagrees with op '" + step.node->op() +
-             "' of node '" + step.node->name() + "'");
+    if (static_cast<Session::Plan::Kind>(kind) !=
+        graph::KindForOp(node->op())) {
+      r.Fail("plan step kind disagrees with op '" + node->op() +
+             "' of node '" + node->name() + "'");
     }
-    if (step.kind == Session::Plan::Kind::kKernel) {
-      // Kernel pointers are process-local: re-resolved here, never
-      // serialized.
-      if (!exec::HasKernel(step.node->op())) {
-        r.Fail("plan step for op '" + step.node->op() +
-               "' which has no registered kernel");
-      }
-      step.kernel = &exec::FindKernel(step.node->op());
-    }
+    // Kernel pointers and decoded attrs are process-local: bound here
+    // exactly as CompilePlan binds them, never serialized. A kernel op
+    // with no registered kernel fails the bind.
+    Session::Plan::Step step(Bind(r, *node));
     const uint32_t num_inputs = r.Count(9);
     step.inputs.reserve(num_inputs);
     for (uint32_t i = 0; i < num_inputs; ++i) {

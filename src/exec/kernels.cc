@@ -78,15 +78,30 @@ Tensor FillRandom(const Node& n, uint64_t salt, Dist dist) {
   return Tensor::FromVector(std::move(out), std::move(shape));
 }
 
+// Writes a one-output kernel's result into the step's slot (keeping the
+// slot's capacity; see Kernel).
+void One(std::vector<RuntimeValue>& out, RuntimeValue value) {
+  out.clear();
+  out.push_back(std::move(value));
+}
+
+void Two(std::vector<RuntimeValue>& out, RuntimeValue a, RuntimeValue b) {
+  out.clear();
+  out.push_back(std::move(a));
+  out.push_back(std::move(b));
+}
+
+using In = std::vector<RuntimeValue>;
+
 Kernel Unary(Tensor (*fn)(const Tensor&)) {
-  return [fn](const Node&, std::vector<RuntimeValue>& in) {
-    return std::vector<RuntimeValue>{fn(AsTensor(in[0]))};
+  return [fn](const BoundStep&, In& in, In& out) {
+    One(out, fn(AsTensor(in[0])));
   };
 }
 
 Kernel Binary(Tensor (*fn)(const Tensor&, const Tensor&)) {
-  return [fn](const Node&, std::vector<RuntimeValue>& in) {
-    return std::vector<RuntimeValue>{fn(AsTensor(in[0]), AsTensor(in[1]))};
+  return [fn](const BoundStep&, In& in, In& out) {
+    One(out, fn(AsTensor(in[0]), AsTensor(in[1])));
   };
 }
 
@@ -97,59 +112,21 @@ Kernel Binary(Tensor (*fn)(const Tensor&, const Tensor&)) {
 // value's last use (liveness moved it in), shared otherwise — the op's
 // own refcount check then decides between in-place and copy.
 Kernel UnaryM(Tensor (*fn)(Tensor&&)) {
-  return [fn](const Node&, std::vector<RuntimeValue>& in) {
-    return std::vector<RuntimeValue>{fn(TakeTensor(in[0]))};
+  return [fn](const BoundStep&, In& in, In& out) {
+    One(out, fn(TakeTensor(in[0])));
   };
 }
 
 Kernel BinaryM(Tensor (*fn)(Tensor&&, Tensor&&)) {
-  return [fn](const Node&, std::vector<RuntimeValue>& in) {
-    return std::vector<RuntimeValue>{
-        fn(TakeTensor(in[0]), TakeTensor(in[1]))};
+  return [fn](const BoundStep&, In& in, In& out) {
+    One(out, fn(TakeTensor(in[0]), TakeTensor(in[1])));
   };
 }
 
-std::vector<RuntimeValue> One(Tensor t) {
-  return std::vector<RuntimeValue>{std::move(t)};
-}
-
-int AttrAxis(const Node& node) {
-  return node.HasAttr("axis")
-             ? static_cast<int>(node.attr<int64_t>("axis"))
-             : kAllAxes;
-}
-
-// Compiled-body cache for FusedElementwise. Keyed by node address and
-// revalidated against the body graph (weak_ptr): node storage can be
-// freed and reused across graphs, so a hit with a different (or dead)
-// body recompiles instead of replaying a stale program.
-std::shared_ptr<const FusedProgram> FusedProgramFor(const Node& n) {
-  struct Entry {
-    std::weak_ptr<const graph::Graph> body;
-    std::shared_ptr<const FusedProgram> program;
+Kernel Reduce(Tensor (*fn)(const Tensor&, int, bool)) {
+  return [fn](const BoundStep& b, In& in, In& out) {
+    One(out, fn(AsTensor(in[0]), b.axis, b.keepdims));
   };
-  static auto* mu = new std::mutex();
-  static auto* cache = new std::unordered_map<const Node*, Entry>();
-
-  const auto& body = n.attr<std::shared_ptr<graph::Graph>>("body");
-  std::lock_guard<std::mutex> lock(*mu);
-  auto it = cache->find(&n);
-  if (it != cache->end() && it->second.body.lock() == body) {
-    return it->second.program;
-  }
-  if (cache->size() > 1024) {  // drop entries whose graphs are gone
-    for (auto e = cache->begin(); e != cache->end();) {
-      e = e->second.body.expired() ? cache->erase(e) : std::next(e);
-    }
-  }
-  const auto* fg = dynamic_cast<const graph::FuncGraph*>(body.get());
-  if (fg == nullptr) {
-    throw RuntimeError("FusedElementwise body is not a FuncGraph");
-  }
-  auto program =
-      std::make_shared<const FusedProgram>(graph::CompileFusedBody(*fg));
-  (*cache)[&n] = Entry{body, program};
-  return program;
 }
 
 const std::unordered_map<std::string, Kernel>& Registry() {
@@ -157,11 +134,9 @@ const std::unordered_map<std::string, Kernel>& Registry() {
     auto* r = new std::unordered_map<std::string, Kernel>();
     auto& reg = *r;
 
-    reg["Const"] = [](const Node& n, std::vector<RuntimeValue>&) {
-      return One(n.attr<Tensor>("value"));
-    };
-    reg["NoOp"] = [](const Node&, std::vector<RuntimeValue>&) {
-      return std::vector<RuntimeValue>{Tensor::Scalar(0.0f)};
+    reg["Const"] = [](const BoundStep& b, In&, In& out) { One(out, b.value); };
+    reg["NoOp"] = [](const BoundStep&, In&, In& out) {
+      One(out, Tensor::Scalar(0.0f));
     };
 
     // Elementwise binary — moving adapters so dead inputs are reused.
@@ -202,193 +177,168 @@ const std::unordered_map<std::string, Kernel>& Registry() {
     // Whole elementwise chains collapsed by the fusion pass: one kernel
     // invocation, zero intermediate tensors. Inputs are taken by value
     // so a dead full-shape operand's buffer becomes the output.
-    reg["FusedElementwise"] = [](const Node& n,
-                                 std::vector<RuntimeValue>& in) {
-      const std::shared_ptr<const FusedProgram> program = FusedProgramFor(n);
+    reg["FusedElementwise"] = [](const BoundStep& b, In& in, In& out) {
       std::vector<Tensor> inputs;
       inputs.reserve(in.size());
       for (RuntimeValue& v : in) inputs.push_back(TakeTensor(v));
-      return One(FusedEval(*program, std::move(inputs)));
+      One(out, FusedEval(*b.program, std::move(inputs)));
     };
 
     reg["MatMul"] = Binary(&MatMul);
-    reg["Quantize"] = [](const Node& n, std::vector<RuntimeValue>& in) {
-      return One(Quantize(AsTensor(in[0]),
+    reg["Quantize"] = [](const BoundStep& b, In& in, In& out) {
+      const Node& n = *b.node;
+      One(out, Quantize(AsTensor(in[0]),
+                        static_cast<float>(n.attr<double>("scale")),
+                        static_cast<int32_t>(n.attr<int64_t>("zero_point"))));
+    };
+    reg["Dequantize"] = [](const BoundStep& b, In& in, In& out) {
+      const Node& n = *b.node;
+      One(out, Dequantize(AsTensor(in[0]),
                           static_cast<float>(n.attr<double>("scale")),
                           static_cast<int32_t>(n.attr<int64_t>("zero_point"))));
     };
-    reg["Dequantize"] = [](const Node& n, std::vector<RuntimeValue>& in) {
-      return One(Dequantize(
-          AsTensor(in[0]), static_cast<float>(n.attr<double>("scale")),
-          static_cast<int32_t>(n.attr<int64_t>("zero_point"))));
-    };
-    reg["QuantizedMatMul"] = [](const Node& n,
-                                std::vector<RuntimeValue>& in) {
-      return One(QuantizedMatMul(
-          AsTensor(in[0]), AsTensor(in[1]),
-          static_cast<float>(n.attr<double>("w_scale")),
-          static_cast<int32_t>(n.attr<int64_t>("w_zero_point"))));
+    reg["QuantizedMatMul"] = [](const BoundStep& b, In& in, In& out) {
+      const Node& n = *b.node;
+      One(out, QuantizedMatMul(
+                   AsTensor(in[0]), AsTensor(in[1]),
+                   static_cast<float>(n.attr<double>("w_scale")),
+                   static_cast<int32_t>(n.attr<int64_t>("w_zero_point"))));
     };
     reg["SoftmaxCrossEntropy"] = Binary(&SoftmaxCrossEntropy);
     reg["SoftmaxCrossEntropyGrad"] = Binary(&SoftmaxCrossEntropyGrad);
 
     // Reductions.
-    reg["ReduceSum"] = [](const Node& n, std::vector<RuntimeValue>& in) {
-      return One(ReduceSum(AsTensor(in[0]), AttrAxis(n),
-                           n.HasAttr("keepdims") &&
-                               n.attr<int64_t>("keepdims") != 0));
-    };
-    reg["ReduceMean"] = [](const Node& n,
-                           std::vector<RuntimeValue>& in) {
-      return One(ReduceMean(AsTensor(in[0]), AttrAxis(n),
-                            n.HasAttr("keepdims") &&
-                                n.attr<int64_t>("keepdims") != 0));
-    };
-    reg["ReduceMax"] = [](const Node& n, std::vector<RuntimeValue>& in) {
-      return One(ReduceMax(AsTensor(in[0]), AttrAxis(n),
-                           n.HasAttr("keepdims") &&
-                               n.attr<int64_t>("keepdims") != 0));
-    };
-    reg["ReduceMin"] = [](const Node& n, std::vector<RuntimeValue>& in) {
-      return One(ReduceMin(AsTensor(in[0]), AttrAxis(n),
-                           n.HasAttr("keepdims") &&
-                               n.attr<int64_t>("keepdims") != 0));
-    };
-    reg["ArgMax"] = [](const Node& n, std::vector<RuntimeValue>& in) {
-      return One(ArgMax(AsTensor(in[0]),
-                        static_cast<int>(n.attr<int64_t>("axis"))));
+    reg["ReduceSum"] = Reduce(&ReduceSum);
+    reg["ReduceMean"] = Reduce(&ReduceMean);
+    reg["ReduceMax"] = Reduce(&ReduceMax);
+    reg["ReduceMin"] = Reduce(&ReduceMin);
+    reg["ArgMax"] = [](const BoundStep& b, In& in, In& out) {
+      One(out, ArgMax(AsTensor(in[0]), b.axis));
     };
 
     // Shape manipulation.
-    reg["Reshape"] = [](const Node& n, std::vector<RuntimeValue>& in) {
-      const std::vector<int>& dims = n.attr<std::vector<int>>("dims");
-      std::vector<int64_t> d64(dims.begin(), dims.end());
-      return One(Reshape(AsTensor(in[0]), Shape(std::move(d64))));
+    reg["Reshape"] = [](const BoundStep& b, In& in, In& out) {
+      One(out, Reshape(AsTensor(in[0]), b.shape));
     };
-    reg["Transpose"] = [](const Node& n, std::vector<RuntimeValue>& in) {
-      return One(Transpose(AsTensor(in[0]), n.attr<std::vector<int>>("perm")));
+    reg["Transpose"] = [](const BoundStep& b, In& in, In& out) {
+      One(out, Transpose(AsTensor(in[0]),
+                         b.node->attr<std::vector<int>>("perm")));
     };
-    reg["Concat"] = [](const Node& n, std::vector<RuntimeValue>& in) {
+    reg["Concat"] = [](const BoundStep& b, In& in, In& out) {
       std::vector<Tensor> parts;
       parts.reserve(in.size());
       for (const RuntimeValue& v : in) parts.push_back(AsTensor(v));
-      return One(Concat(parts, static_cast<int>(n.attr<int64_t>("axis"))));
+      One(out, Concat(parts, b.axis));
     };
-    reg["Pack"] = [](const Node&, std::vector<RuntimeValue>& in) {
+    reg["Pack"] = [](const BoundStep&, In& in, In& out) {
       std::vector<Tensor> parts;
       parts.reserve(in.size());
       for (const RuntimeValue& v : in) parts.push_back(AsTensor(v));
-      return One(Stack(parts));
+      One(out, Stack(parts));
     };
-    reg["Shape"] = [](const Node&, std::vector<RuntimeValue>& in) {
+    reg["Shape"] = [](const BoundStep&, In& in, In& out) {
       const Shape& s = AsTensor(in[0]).shape();
       std::vector<float> dims;
       dims.reserve(static_cast<size_t>(s.rank()));
       for (int64_t d : s.dims()) dims.push_back(static_cast<float>(d));
-      return One(Tensor::FromVector(std::move(dims), Shape({s.rank()}),
-                                    DType::kInt32));
+      One(out, Tensor::FromVector(std::move(dims), Shape({s.rank()}),
+                                  DType::kInt32));
     };
-    reg["Size"] = [](const Node&, std::vector<RuntimeValue>& in) {
-      return One(Tensor::ScalarInt(AsTensor(in[0]).num_elements()));
+    reg["Size"] = [](const BoundStep&, In& in, In& out) {
+      One(out, Tensor::ScalarInt(AsTensor(in[0]).num_elements()));
     };
-    reg["Dim0"] = [](const Node&, std::vector<RuntimeValue>& in) {
+    reg["Dim0"] = [](const BoundStep&, In& in, In& out) {
       const Tensor& t = AsTensor(in[0]);
       if (t.rank() < 1) throw RuntimeError("Dim0 of a scalar tensor");
-      return One(Tensor::ScalarInt(t.shape().dim(0)));
+      One(out, Tensor::ScalarInt(t.shape().dim(0)));
     };
-    reg["Assert"] = [](const Node& n, std::vector<RuntimeValue>& in) {
+    reg["Assert"] = [](const BoundStep& b, In& in, In& out) {
       if (!AsTensor(in[0]).scalar_bool()) {
+        const Node& n = *b.node;
         throw RuntimeError("assertion failed: " +
                            (n.HasAttr("message")
                                 ? n.attr<std::string>("message")
                                 : std::string("<no message>")));
       }
-      return std::vector<RuntimeValue>{std::move(in[0])};
+      One(out, std::move(in[0]));
     };
-    reg["Cast"] = [](const Node& n, std::vector<RuntimeValue>& in) {
+    reg["Cast"] = [](const BoundStep& b, In& in, In& out) {
       // Rvalue Cast: rewrites the buffer in place when sole-owned.
-      return One(TakeTensor(in[0]).Cast(n.attr<DType>("dtype")));
+      One(out, TakeTensor(in[0]).Cast(b.node->attr<DType>("dtype")));
     };
-    reg["ZerosLike"] = [](const Node&, std::vector<RuntimeValue>& in) {
+    reg["ZerosLike"] = [](const BoundStep&, In& in, In& out) {
       const Tensor& t = AsTensor(in[0]);
-      return One(Tensor::Zeros(t.shape(), t.dtype()));
+      One(out, Tensor::Zeros(t.shape(), t.dtype()));
     };
-    reg["OnesLike"] = [](const Node&, std::vector<RuntimeValue>& in) {
+    reg["OnesLike"] = [](const BoundStep&, In& in, In& out) {
       const Tensor& t = AsTensor(in[0]);
-      return One(Tensor::Ones(t.shape(), t.dtype()));
+      One(out, Tensor::Ones(t.shape(), t.dtype()));
     };
 
-    reg["ExpandDims"] = [](const Node& n,
-                           std::vector<RuntimeValue>& in) {
-      return One(ExpandDims(AsTensor(in[0]),
-                            static_cast<int>(n.attr<int64_t>("axis"))));
+    reg["ExpandDims"] = [](const BoundStep& b, In& in, In& out) {
+      One(out, ExpandDims(AsTensor(in[0]), b.axis));
     };
     // Reshapes input 0 to the shape of input 1 (same element count).
-    reg["ReshapeLike"] = [](const Node&,
-                            std::vector<RuntimeValue>& in) {
-      return One(AsTensor(in[0]).Reshaped(AsTensor(in[1]).shape()));
+    reg["ReshapeLike"] = [](const BoundStep&, In& in, In& out) {
+      One(out, AsTensor(in[0]).Reshaped(AsTensor(in[1]).shape()));
     };
     // Reduce-sums input 0 down to the shape of input 1 (gradient routing
     // for broadcasting binary ops; see autodiff/graph_grad.cc).
-    reg["SumToShapeOf"] = [](const Node&,
-                             std::vector<RuntimeValue>& in) {
-      return One(SumToShape(AsTensor(in[0]), AsTensor(in[1]).shape()));
+    reg["SumToShapeOf"] = [](const BoundStep&, In& in, In& out) {
+      One(out, SumToShape(AsTensor(in[0]), AsTensor(in[1]).shape()));
     };
 
     // Indexing / selection.
-    reg["IndexAxis0"] = [](const Node&, std::vector<RuntimeValue>& in) {
-      return One(IndexAxis0(AsTensor(in[0]), AsTensor(in[1]).scalar_int()));
+    reg["IndexAxis0"] = [](const BoundStep&, In& in, In& out) {
+      One(out, IndexAxis0(AsTensor(in[0]), AsTensor(in[1]).scalar_int()));
     };
-    reg["SetItemAxis0"] = [](const Node&,
-                             std::vector<RuntimeValue>& in) {
+    reg["SetItemAxis0"] = [](const BoundStep&, In& in, In& out) {
       // Read index before consuming in[0] (distinct slots, but keep the
       // order obvious); the rvalue overload patches just the row when
       // the target is sole-owned.
       const int64_t index = AsTensor(in[1]).scalar_int();
-      return One(SetItemAxis0(TakeTensor(in[0]), index, AsTensor(in[2])));
+      One(out, SetItemAxis0(TakeTensor(in[0]), index, AsTensor(in[2])));
     };
     // Contiguous row slice [start, start+len) along axis 0.
-    reg["SliceRows"] = [](const Node& n, std::vector<RuntimeValue>& in) {
+    reg["SliceRows"] = [](const BoundStep& b, In& in, In& out) {
       const Tensor& x = AsTensor(in[0]);
-      const auto start = n.attr<int64_t>("start");
-      const auto len = n.attr<int64_t>("len");
+      const auto start = b.node->attr<int64_t>("start");
+      const auto len = b.node->attr<int64_t>("len");
       if (x.rank() < 1 || start < 0 || start + len > x.shape().dim(0)) {
         throw RuntimeError("SliceRows out of range");
       }
-      return One(SliceAxis(x, 0, start, len));
+      One(out, SliceAxis(x, 0, start, len));
     };
     reg["Gather"] = Binary(&Gather);
-    reg["Where"] = [](const Node&, std::vector<RuntimeValue>& in) {
-      return One(Where(AsTensor(in[0]), AsTensor(in[1]), AsTensor(in[2])));
+    reg["Where"] = [](const BoundStep&, In& in, In& out) {
+      One(out, Where(AsTensor(in[0]), AsTensor(in[1]), AsTensor(in[2])));
     };
-    reg["OneHot"] = [](const Node& n, std::vector<RuntimeValue>& in) {
-      return One(OneHot(AsTensor(in[0]), n.attr<int64_t>("depth")));
+    reg["OneHot"] = [](const BoundStep& b, In& in, In& out) {
+      One(out, OneHot(AsTensor(in[0]), b.node->attr<int64_t>("depth")));
     };
-    reg["Range"] = [](const Node&, std::vector<RuntimeValue>& in) {
-      return One(Range(AsTensor(in[0]).scalar_int()));
+    reg["Range"] = [](const BoundStep&, In& in, In& out) {
+      One(out, Range(AsTensor(in[0]).scalar_int()));
     };
-    reg["TopK"] = [](const Node& n, std::vector<RuntimeValue>& in) {
-      auto [values, indices] = TopK(AsTensor(in[0]), n.attr<int64_t>("k"));
-      return std::vector<RuntimeValue>{std::move(values), std::move(indices)};
+    reg["TopK"] = [](const BoundStep& b, In& in, In& out) {
+      auto [values, indices] = TopK(AsTensor(in[0]), b.k);
+      Two(out, std::move(values), std::move(indices));
     };
 
     // Random ops (stateful; excluded from folding/CSE by IsPureOp).
     // Counter-based: each node has its own stream, advanced once per
     // invocation per run, so parallel == sequential bit-for-bit.
-    reg["RandomNormal"] = [](const Node& n,
-                             std::vector<RuntimeValue>&) {
-      return One(FillRandom(n, /*salt=*/12345,
-                            std::normal_distribution<float>(0.0f, 1.0f)));
+    reg["RandomNormal"] = [](const BoundStep& b, In&, In& out) {
+      One(out, FillRandom(*b.node, /*salt=*/12345,
+                          std::normal_distribution<float>(0.0f, 1.0f)));
     };
-    reg["RandomUniform"] = [](const Node& n,
-                              std::vector<RuntimeValue>&) {
-      return One(FillRandom(
-          n, /*salt=*/54321,
-          std::uniform_real_distribution<float>(0.0f, 1.0f)));
+    reg["RandomUniform"] = [](const BoundStep& b, In&, In& out) {
+      One(out, FillRandom(
+                   *b.node, /*salt=*/54321,
+                   std::uniform_real_distribution<float>(0.0f, 1.0f)));
     };
 
     // Print: logs at graph runtime (the staged form of `print`).
-    reg["Print"] = [](const Node&, std::vector<RuntimeValue>& in) {
+    reg["Print"] = [](const BoundStep&, In& in, In& out) {
       for (const RuntimeValue& v : in) {
         if (IsTensor(v)) {
           std::cout << AsTensor(v).DebugString() << " ";
@@ -397,47 +347,39 @@ const std::unordered_map<std::string, Kernel>& Registry() {
         }
       }
       std::cout << "\n";
-      return std::vector<RuntimeValue>{in.empty() ? RuntimeValue(Tensor())
-                                                  : std::move(in[0])};
+      One(out, in.empty() ? RuntimeValue(Tensor()) : std::move(in[0]));
     };
 
     // TensorList ops.
-    reg["TensorListNew"] = [](const Node&, std::vector<RuntimeValue>&) {
-      return std::vector<RuntimeValue>{std::make_shared<TensorList>()};
+    reg["TensorListNew"] = [](const BoundStep&, In&, In& out) {
+      One(out, std::make_shared<TensorList>());
     };
-    reg["TensorListPushBack"] = [](const Node&,
-                                   std::vector<RuntimeValue>& in) {
+    reg["TensorListPushBack"] = [](const BoundStep&, In& in, In& out) {
       // Consume the incoming handle: when the executor moved the last
       // live reference in (the staged While append idiom), PushBackMove
       // appends in place instead of copying the whole list.
-      return std::vector<RuntimeValue>{
-          TensorList::PushBackMove(TakeList(in[0]), TakeTensor(in[1]))};
+      One(out, TensorList::PushBackMove(TakeList(in[0]), TakeTensor(in[1])));
     };
-    reg["TensorListPopBack"] = [](const Node&,
-                                  std::vector<RuntimeValue>& in) {
+    reg["TensorListPopBack"] = [](const BoundStep&, In& in, In& out) {
       auto [list, last] = AsList(in[0])->PopBack();
-      return std::vector<RuntimeValue>{std::move(list), std::move(last)};
+      Two(out, std::move(list), std::move(last));
     };
-    reg["TensorListStack"] = [](const Node&,
-                                std::vector<RuntimeValue>& in) {
+    reg["TensorListStack"] = [](const BoundStep&, In& in, In& out) {
       const TensorListPtr& list = AsList(in[0]);
       if (list->size() == 0) {
         throw RuntimeError("cannot stack an empty TensorList");
       }
-      return One(Stack(list->items()));
+      One(out, Stack(list->items()));
     };
-    reg["TensorListGet"] = [](const Node&,
-                              std::vector<RuntimeValue>& in) {
-      return One(AsList(in[0])->at(AsTensor(in[1]).scalar_int()));
+    reg["TensorListGet"] = [](const BoundStep&, In& in, In& out) {
+      One(out, AsList(in[0])->at(AsTensor(in[1]).scalar_int()));
     };
-    reg["TensorListSet"] = [](const Node&,
-                              std::vector<RuntimeValue>& in) {
-      return std::vector<RuntimeValue>{AsList(in[0])->Set(
-          AsTensor(in[1]).scalar_int(), AsTensor(in[2]))};
+    reg["TensorListSet"] = [](const BoundStep&, In& in, In& out) {
+      One(out, AsList(in[0])->Set(AsTensor(in[1]).scalar_int(),
+                                  AsTensor(in[2])));
     };
-    reg["TensorListLen"] = [](const Node&,
-                              std::vector<RuntimeValue>& in) {
-      return One(Tensor::ScalarInt(AsList(in[0])->size()));
+    reg["TensorListLen"] = [](const BoundStep&, In& in, In& out) {
+      One(out, Tensor::ScalarInt(AsList(in[0])->size()));
     };
 
     return r;
@@ -464,12 +406,90 @@ const Kernel& FindKernel(const std::string& op) {
   return it->second;
 }
 
+namespace {
+
+const graph::FuncGraph& SubgraphAttr(const Node& node,
+                                     const std::string& key) {
+  const auto* fg = dynamic_cast<const graph::FuncGraph*>(
+      node.attr<std::shared_ptr<graph::Graph>>(key).get());
+  if (fg == nullptr) {
+    throw InternalError("node '" + node.name() + "' attr '" + key +
+                        "' is not a function graph");
+  }
+  return *fg;
+}
+
+size_t CountAttr(const Node& node, const std::string& key) {
+  const auto count = node.attr<int64_t>(key);
+  if (count < 0) {
+    throw InternalError("node '" + node.name() + "' attr '" + key +
+                        "' is negative");
+  }
+  return static_cast<size_t>(count);
+}
+
+}  // namespace
+
+BoundStep BindStep(const Node& node) {
+  BoundStep b;
+  b.node = &node;
+  const std::string& op = node.op();
+  b.kind = graph::KindForOp(op);
+  if (b.kind == graph::StepKind::kCond) {
+    b.subgraphs[0] = &SubgraphAttr(node, "then_branch");
+    b.subgraphs[1] = &SubgraphAttr(node, "else_branch");
+    b.ncaps = CountAttr(node, "then_ncaps");
+    return b;
+  }
+  if (b.kind == graph::StepKind::kWhile) {
+    b.subgraphs[0] = &SubgraphAttr(node, "cond");
+    b.subgraphs[1] = &SubgraphAttr(node, "body");
+    b.ncaps = CountAttr(node, "cond_ncaps");
+    b.num_loop_vars = CountAttr(node, "num_loop_vars");
+    return b;
+  }
+  if (b.kind != graph::StepKind::kKernel) return b;
+
+  b.kernel = &FindKernel(op);
+  const graph::OpDef* def = graph::FindOpDef(op);
+  b.flops = def != nullptr ? def->flops : graph::FlopModel::kNone;
+  if (op == "Const") {
+    b.literal = true;
+    b.value = node.attr<Tensor>("value");
+  } else if (op == "Reshape") {
+    const auto& dims = node.attr<std::vector<int>>("dims");
+    b.shape = std::make_shared<const Shape>(
+        std::vector<int64_t>(dims.begin(), dims.end()));
+  } else if (op == "FusedElementwise") {
+    const graph::FuncGraph& body = SubgraphAttr(node, "body");
+    b.program =
+        std::make_shared<const FusedProgram>(graph::CompileFusedBody(body));
+    for (const auto& n : body.nodes()) {
+      if (n->op() != "Arg") ++b.fused_ops;
+    }
+  } else if (op == "TopK") {
+    b.k = node.attr<int64_t>("k");
+  } else if (op == "ArgMax" || op == "ExpandDims" || op == "Concat") {
+    b.axis = static_cast<int>(node.attr<int64_t>("axis"));
+  } else {
+    // Reductions: every axis without an "axis" attr, keepdims optional.
+    if (node.HasAttr("axis")) {
+      b.axis = static_cast<int>(node.attr<int64_t>("axis"));
+    }
+    b.keepdims =
+        node.HasAttr("keepdims") && node.attr<int64_t>("keepdims") != 0;
+  }
+  return b;
+}
+
 std::vector<Tensor> EvaluatePureNode(const graph::Node& node,
                                      const std::vector<Tensor>& inputs) {
   std::vector<RuntimeValue> in;
   in.reserve(inputs.size());
   for (const Tensor& t : inputs) in.emplace_back(t);
-  std::vector<RuntimeValue> out = FindKernel(node.op())(node, in);
+  const BoundStep bound = BindStep(node);
+  std::vector<RuntimeValue> out;
+  (*bound.kernel)(bound, in, out);
   std::vector<Tensor> result;
   result.reserve(out.size());
   for (const RuntimeValue& v : out) result.push_back(AsTensor(v));

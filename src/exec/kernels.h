@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -11,8 +12,12 @@
 
 #include "exec/value.h"
 #include "graph/graph.h"
+#include "graph/ops.h"
+#include "tensor/tensor_ops.h"
 
 namespace ag::exec {
+
+struct BoundStep;
 
 // Kernels receive their inputs by mutable reference and may consume
 // (move out of) any element: the executor hands each kernel the last
@@ -20,8 +25,47 @@ namespace ag::exec {
 // this step is its final consumer, which is what lets the elementwise
 // kernels write in place and the list kernels append without copying.
 // A kernel must not assume inputs are intact after it returns.
-using Kernel = std::function<std::vector<RuntimeValue>(
-    const graph::Node&, std::vector<RuntimeValue>&)>;
+//
+// A kernel writes its results into `out`, the step's output slot,
+// replacing whatever the slot held and keeping its capacity, so a While
+// body that reuses its slots across iterations allocates no vectors.
+// Everything else a kernel reads comes from the bound step: the attrs
+// decoded once by BindStep, or the node itself for attrs read rarely.
+using Kernel = std::function<void(const BoundStep&, std::vector<RuntimeValue>&,
+                                  std::vector<RuntimeValue>&)>;
+
+// One graph node resolved for execution: its kernel, and every attr the
+// hot ops read on each call, decoded once. Everything here is derived
+// from the node, so plans loaded from an artifact bind exactly like
+// compiled ones and the artifact format carries none of it.
+struct BoundStep {
+  const graph::Node* node = nullptr;
+  graph::StepKind kind = graph::StepKind::kKernel;
+  const Kernel* kernel = nullptr;  // kKernel only
+  // Const: the step's output is a refcount copy of `value`; the executor
+  // hands it out without calling the kernel.
+  bool literal = false;
+  Tensor value;
+  std::shared_ptr<const Shape> shape;            // Reshape's dims
+  std::shared_ptr<const FusedProgram> program;   // FusedElementwise body
+  int axis = kAllAxes;                           // reductions, ArgMax, ...
+  bool keepdims = false;                         // reductions
+  int64_t k = 0;                                 // TopK
+  // The op table's FLOP model, and the body's op count for kFusedBody,
+  // for the step stats of instrumented runs.
+  graph::FlopModel flops = graph::FlopModel::kNone;
+  int64_t fused_ops = 0;
+  // Cond: then/else branch; While: cond/body.
+  const graph::FuncGraph* subgraphs[2] = {nullptr, nullptr};
+  size_t ncaps = 0;          // Cond: then_ncaps; While: cond_ncaps
+  size_t num_loop_vars = 0;  // While
+};
+
+// Binds `node`: the one place a node's kernel is looked up and its attrs
+// decoded, shared by Session::CompilePlan, the artifact plan reader and
+// EvaluatePureNode. Throws Error if the node has no kernel or an attr
+// the op needs is missing or malformed.
+[[nodiscard]] BoundStep BindStep(const graph::Node& node);
 
 // Invocation counters for the stateful random ops. Each random node
 // draws from its own stream, seeded by (node name, invocation index) —

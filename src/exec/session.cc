@@ -73,8 +73,8 @@ int64_t InputFlops(graph::FlopModel model,
 }
 
 // ElementwiseFlops: one flop per output element for kUnit, times the
-// body's op count for kFusedBody; 0 otherwise. Post-kernel.
-int64_t ElementwiseFlops(graph::FlopModel model, const Node& node,
+// body's op count (`fused_ops`) for kFusedBody; 0 otherwise. Post-kernel.
+int64_t ElementwiseFlops(graph::FlopModel model, int64_t fused_ops,
                          const std::vector<RuntimeValue>& outputs) {
   if (outputs.empty() || !IsTensor(outputs[0]) ||
       !AsTensor(outputs[0]).defined()) {
@@ -83,12 +83,7 @@ int64_t ElementwiseFlops(graph::FlopModel model, const Node& node,
   const int64_t elems = AsTensor(outputs[0]).num_elements();
   if (model == graph::FlopModel::kUnit) return elems;
   if (model != graph::FlopModel::kFusedBody) return 0;
-  const auto& body = *node.attr<std::shared_ptr<graph::Graph>>("body");
-  int64_t steps = 0;
-  for (const auto& n : body.nodes()) {
-    if (n->op() != "Arg") ++steps;
-  }
-  return steps * elems;
+  return fused_ops * elems;
 }
 
 // Annotates an interruption (cancel/deadline) escaping a While loop
@@ -120,6 +115,56 @@ std::string SessionStats::DebugString() const {
   return os.str();
 }
 
+struct Session::StepSlot {
+  std::vector<RuntimeValue> values;  // the step's outputs
+  // Cond/While only, created on the step's first execution.
+  std::unique_ptr<ControlScratch> control;
+};
+
+struct Session::PlanScratch {
+  std::vector<StepSlot> slots;  // one per step
+  // The gather buffer each step's inputs are collected into.
+  std::vector<RuntimeValue> inputs;
+};
+
+// The buffers of a Cond or While step's sub-plan runs. A Lease drops
+// their values when the step ends, by either exit, so nothing outlives
+// the step as it would with locals, but the vectors keep their capacity
+// for the step's next execution (the next iteration of an enclosing
+// While).
+struct Session::ControlScratch {
+  PlanScratch plans[2];  // Cond: then/else; While: cond/body
+  std::vector<RuntimeValue> loop_vars;  // While
+  std::vector<RuntimeValue> caps[2];    // While: cond/body captures
+  std::vector<RuntimeValue> args;       // the running sub-plan's args
+  std::vector<RuntimeValue> test;       // While: the condition's result
+
+  void Release() {
+    for (PlanScratch& p : plans) {
+      for (StepSlot& slot : p.slots) slot.values.clear();
+    }
+    for (std::vector<RuntimeValue>* v :
+         {&loop_vars, &caps[0], &caps[1], &args, &test}) {
+      v->clear();
+    }
+  }
+
+  class Lease {
+   public:
+    explicit Lease(ControlScratch& leased) : scratch(leased) {}
+    ~Lease() { scratch.Release(); }
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    ControlScratch& scratch;
+  };
+  static Lease Acquire(StepSlot& slot) {
+    if (slot.control == nullptr) {
+      slot.control = std::make_unique<ControlScratch>();
+    }
+    return Lease(*slot.control);
+  }
+};
+
 // Shared state of one parallel plan execution. Owned by shared_ptr: a
 // pool helper that starts late (after the run already finished) must
 // still find the queue it was scheduled against. Helpers dereference
@@ -133,7 +178,7 @@ struct Session::ParallelRun {
   RngRunState* rng = nullptr;
   int max_helpers = 0;
 
-  std::vector<std::vector<RuntimeValue>> slots;
+  std::vector<StepSlot> slots;
   // One refcount per step, initialized from Plan::Step::pending_init.
   std::unique_ptr<std::atomic<int>[]> pending;
 
@@ -252,10 +297,10 @@ std::vector<RuntimeValue> Session::Run(
     const Plan& plan = TopPlanFor(fetches, ctx);
     std::vector<RuntimeValue> no_args;
     if (ctx.inter_op_threads > 0) {
-      results = RunPlanParallel(plan, no_args, ctx);
+      RunPlanParallel(plan, no_args, results, ctx);
     } else {
-      std::vector<std::vector<RuntimeValue>> slots;
-      results = RunPlan(plan, no_args, &slots, ctx);
+      PlanScratch scratch;
+      RunPlan(plan, no_args, scratch, results, ctx);
     }
   } catch (const Error& e) {
     fold_counts();
@@ -370,12 +415,7 @@ Session::Plan Session::CompilePlan(const std::vector<Output>& returns,
         }
         continue;
       }
-      Plan::Step step;
-      step.node = node;
-      step.kind = graph::KindForOp(node->op());
-      if (step.kind == Plan::Kind::kKernel) {
-        step.kernel = &FindKernel(node->op());
-      }
+      Plan::Step step(BindStep(*node));
       step.inputs.reserve(node->inputs().size());
       for (const Output& in : node->inputs()) {
         if (in.node->op() == "Arg") {
@@ -809,41 +849,63 @@ const Session::Plan& Session::TopPlanFor(const std::vector<Output>& fetches,
       .first->second;
 }
 
+const Session::Plan& Session::SubPlan(const Plan::Step& step, int which,
+                                      RunCtx& ctx) {
+  const Plan::SubPlanRef& ref = step.sub_plans[which];
+  if (const Plan* plan = ref.get()) return *plan;
+  // Racing first executions may both get here; PlanFor keeps a single
+  // winner, so they store the same address.
+  const Plan& plan = PlanFor(*step.subgraphs[which], ctx);
+  ref.set(&plan);
+  return plan;
+}
+
 void Session::ExecStep(const Plan::Step& step,
-                       std::vector<RuntimeValue>& inputs,
-                       std::vector<RuntimeValue>* out, RunCtx& ctx) {
+                       std::vector<RuntimeValue>& inputs, StepSlot& slot,
+                       RunCtx& ctx) {
   ++ctx.nodes_executed;
   const Node* node = step.node;
+  std::vector<RuntimeValue>& out = slot.values;
   switch (step.kind) {
     case Plan::Kind::kKernel: {
-      if (ctx.cancel != nullptr) ctx.cancel->PollKernel(node->name());
-      ++ctx.kernel_invocations;
-      const int64_t t0 = ctx.rec != nullptr ? obs::NowNs() : 0;
-      const int64_t alloc0 =
-          ctx.rec != nullptr ? tensor::ThreadAllocCount() : 0;
+      // A Const step is a plan literal: a refcount copy of the bound
+      // value, with no kernel call, launch poll or kernel count.
+      auto run = [&] {
+        if (step.literal) {
+          out.assign(1, step.value);
+          return;
+        }
+        try {
+          (*step.kernel)(step, inputs, out);
+        } catch (const Error& e) {
+          throw e.WithFrame(SourceFrame{SourceLocation{"<graph>", 0, 0},
+                                        node->name() + " (" + node->op() + ")",
+                                        /*generated=*/true});
+        }
+      };
+      if (!step.literal) {
+        if (ctx.cancel != nullptr) ctx.cancel->PollKernel(node->name());
+        ++ctx.kernel_invocations;
+      }
+      if (ctx.rec == nullptr) {
+        run();
+        break;
+      }
+      const int64_t t0 = obs::NowNs();
+      const int64_t alloc0 = tensor::ThreadAllocCount();
       // Input-derived stats are snapshotted before the kernel: in-place
       // kernels may steal (move out of) uniquely-owned inputs.
-      const int64_t in_bytes = ctx.rec != nullptr ? OutputBytes(inputs) : 0;
-      const graph::OpDef* def =
-          ctx.rec != nullptr ? graph::FindOpDef(node->op()) : nullptr;
-      const auto flops = def != nullptr ? def->flops : graph::FlopModel::kNone;
-      const int64_t in_flops = InputFlops(flops, inputs);
-      try {
-        *out = (*step.kernel)(*node, inputs);
-      } catch (const Error& e) {
-        throw e.WithFrame(SourceFrame{SourceLocation{"<graph>", 0, 0},
-                                      node->name() + " (" + node->op() + ")",
-                                      /*generated=*/true});
-      }
-      if (ctx.rec != nullptr) {
-        ctx.rec->RecordNode(node->name(), node->op(), t0, obs::NowNs(),
-                            OutputBytes(*out),
-                            tensor::ThreadAllocCount() - alloc0,
-                            in_flops + ElementwiseFlops(flops, *node, *out),
-                            in_bytes,
-                            tensor::simd::KernelBackendName(
-                                tensor::simd::ActiveBackend()));
-      }
+      const int64_t in_bytes = OutputBytes(inputs);
+      const int64_t in_flops = InputFlops(step.flops, inputs);
+      run();
+      const int64_t flops =
+          in_flops + ElementwiseFlops(step.flops, step.fused_ops, out);
+      ctx.rec->RecordNode(node->name(), node->op(), t0, obs::NowNs(),
+                          OutputBytes(out),
+                          tensor::ThreadAllocCount() - alloc0, flops,
+                          in_bytes,
+                          tensor::simd::KernelBackendName(
+                              tensor::simd::ActiveBackend()));
       break;
     }
     case Plan::Kind::kCond: {
@@ -854,75 +916,58 @@ void Session::ExecStep(const Plan::Step& step,
       }
       const bool taken = pred.scalar_bool();
       if (ctx.rec != nullptr) ctx.rec->CountCondBranch(taken);
-      const auto then_ncaps =
-          static_cast<size_t>(node->attr<int64_t>("then_ncaps"));
-      const auto& branch = *std::static_pointer_cast<FuncGraph>(
-          node->attr<std::shared_ptr<graph::Graph>>(
-              taken ? "then_branch" : "else_branch"));
-      const size_t offset = taken ? 1 : 1 + then_ncaps;
+      const int branch = taken ? 0 : 1;
+      const Plan& branch_plan = SubPlan(step, branch, ctx);
+      const size_t offset = taken ? 1 : 1 + step.ncaps;
+      const size_t ncaps = step.subgraphs[branch]->captures.size();
+      const ControlScratch::Lease lease = ControlScratch::Acquire(slot);
+      ControlScratch& c = lease.scratch;
       // The taken branch consumes its captures (the untaken branch's die
       // with `inputs`); moved-in handles flow through to branch kernels.
-      std::vector<RuntimeValue> branch_args(
-          std::make_move_iterator(inputs.begin() +
-                                  static_cast<std::ptrdiff_t>(offset)),
-          std::make_move_iterator(
-              inputs.begin() +
-              static_cast<std::ptrdiff_t>(offset + branch.captures.size())));
-      const Plan& branch_plan = PlanFor(branch, ctx);
       // Cross-boundary liveness: a capture the branch's plan provably
       // never reads is released before the branch runs, so its buffer
       // dies here instead of surviving the whole sub-plan.
-      for (size_t i = 0; i < branch_args.size(); ++i) {
-        if (!branch_plan.ArgUsed(i)) branch_args[i] = RuntimeValue{};
+      for (size_t i = 0; i < ncaps; ++i) {
+        RuntimeValue capture = std::move(inputs[offset + i]);
+        c.args.push_back(branch_plan.ArgUsed(i) ? std::move(capture)
+                                                : RuntimeValue{});
       }
-      std::vector<std::vector<RuntimeValue>> branch_scratch;
-      obs::TraceScope scope(ctx.rec != nullptr ? ctx.rec->tracer() : nullptr,
-                            node->name() + " (Cond)", "control");
-      *out = RunPlan(branch_plan, branch_args, &branch_scratch, ctx);
-      if (out->empty()) *out = {Tensor()};
+      obs::Tracer* tracer = ctx.rec != nullptr ? ctx.rec->tracer() : nullptr;
+      obs::TraceScope scope(
+          tracer, tracer != nullptr ? node->name() + " (Cond)" : std::string(),
+          "control");
+      RunPlan(branch_plan, c.args, c.plans[branch], out, ctx);
+      if (out.empty()) out.emplace_back(Tensor());
       break;
     }
     case Plan::Kind::kWhile: {
-      const auto n =
-          static_cast<size_t>(node->attr<int64_t>("num_loop_vars"));
-      const auto cond_ncaps =
-          static_cast<size_t>(node->attr<int64_t>("cond_ncaps"));
-      const auto& cond_g = *std::static_pointer_cast<FuncGraph>(
-          node->attr<std::shared_ptr<graph::Graph>>("cond"));
-      const auto& body_g = *std::static_pointer_cast<FuncGraph>(
-          node->attr<std::shared_ptr<graph::Graph>>("body"));
-      std::vector<RuntimeValue> loop_vars(
-          std::make_move_iterator(inputs.begin()),
-          std::make_move_iterator(inputs.begin() +
-                                  static_cast<std::ptrdiff_t>(n)));
-      std::vector<RuntimeValue> cond_caps(
-          std::make_move_iterator(inputs.begin() +
-                                  static_cast<std::ptrdiff_t>(n)),
-          std::make_move_iterator(
-              inputs.begin() + static_cast<std::ptrdiff_t>(n + cond_ncaps)));
-      std::vector<RuntimeValue> body_caps(
-          std::make_move_iterator(inputs.begin() +
-                                  static_cast<std::ptrdiff_t>(n + cond_ncaps)),
-          std::make_move_iterator(inputs.end()));
-      const Plan& cond_plan = PlanFor(cond_g, ctx);
-      const Plan& body_plan = PlanFor(body_g, ctx);
+      const size_t n = step.num_loop_vars;
+      const size_t cond_ncaps = step.ncaps;
+      const Plan& cond_plan = SubPlan(step, 0, ctx);
+      const Plan& body_plan = SubPlan(step, 1, ctx);
+      const ControlScratch::Lease lease = ControlScratch::Acquire(slot);
+      ControlScratch& c = lease.scratch;
+      for (size_t i = 0; i < n; ++i) {
+        c.loop_vars.push_back(std::move(inputs[i]));
+      }
       // Cross-boundary liveness (Plan::args_used): a capture the cond
       // or body plan provably never reads — e.g. one feeding only nodes
       // LICM hoisted out of the loop — is released once at loop entry,
       // instead of being copied into (and kept alive across) every
       // iteration.
-      for (size_t i = 0; i < cond_caps.size(); ++i) {
-        if (!cond_plan.ArgUsed(n + i)) cond_caps[i] = RuntimeValue{};
+      for (size_t i = n; i < inputs.size(); ++i) {
+        RuntimeValue capture = std::move(inputs[i]);
+        const bool is_cond = i < n + cond_ncaps;
+        const Plan& reader = is_cond ? cond_plan : body_plan;
+        const size_t arg = is_cond ? i : i - cond_ncaps;
+        c.caps[is_cond ? 0 : 1].push_back(
+            reader.ArgUsed(arg) ? std::move(capture) : RuntimeValue{});
       }
-      for (size_t i = 0; i < body_caps.size(); ++i) {
-        if (!body_plan.ArgUsed(n + i)) body_caps[i] = RuntimeValue{};
-      }
-      std::vector<std::vector<RuntimeValue>> cond_scratch;
-      std::vector<std::vector<RuntimeValue>> body_scratch;
-      std::vector<RuntimeValue> cond_args;
-      std::vector<RuntimeValue> body_args;
-      obs::TraceScope scope(ctx.rec != nullptr ? ctx.rec->tracer() : nullptr,
-                            node->name() + " (While)", "control");
+      obs::Tracer* tracer = ctx.rec != nullptr ? ctx.rec->tracer() : nullptr;
+      obs::TraceScope scope(
+          tracer,
+          tracer != nullptr ? node->name() + " (While)" : std::string(),
+          "control");
       int64_t iter = 0;
       try {
         for (;; ++iter) {
@@ -931,17 +976,15 @@ void Session::ExecStep(const Plan::Step& step,
           // keeps each carried value sole-owned when the body consumes
           // it below, which is what lets the body's kernels recycle the
           // previous iteration's buffers in place.
-          cond_args.assign(loop_vars.begin(), loop_vars.end());
-          cond_args.insert(cond_args.end(), cond_caps.begin(),
-                           cond_caps.end());
-          std::vector<RuntimeValue> test =
-              RunPlan(cond_plan, cond_args, &cond_scratch, ctx);
-          cond_args.clear();
-          if (test.size() != 1) {
+          c.args.assign(c.loop_vars.begin(), c.loop_vars.end());
+          c.args.insert(c.args.end(), c.caps[0].begin(), c.caps[0].end());
+          RunPlan(cond_plan, c.args, c.plans[0], c.test, ctx);
+          c.args.clear();
+          if (c.test.size() != 1) {
             throw RuntimeError(
                 "while condition must produce a single value");
           }
-          if (!AsTensor(test[0]).scalar_bool()) break;
+          if (!AsTensor(c.test[0]).scalar_bool()) break;
           // Guard after the condition: a loop that terminates cleanly
           // in exactly N iterations never trips a bound of N.
           if (iter >= ctx.max_while_iterations) {
@@ -951,20 +994,18 @@ void Session::ExecStep(const Plan::Step& step,
                                "); runaway staged loop?");
           }
           if (ctx.rec != nullptr) ctx.rec->CountWhileIteration();
-          body_args.clear();
-          body_args.reserve(loop_vars.size() + body_caps.size());
-          for (RuntimeValue& lv : loop_vars) {
-            body_args.push_back(std::move(lv));
+          for (RuntimeValue& lv : c.loop_vars) {
+            c.args.push_back(std::move(lv));
           }
-          body_args.insert(body_args.end(), body_caps.begin(),
-                           body_caps.end());
-          loop_vars = RunPlan(body_plan, body_args, &body_scratch, ctx);
+          c.args.insert(c.args.end(), c.caps[1].begin(), c.caps[1].end());
+          RunPlan(body_plan, c.args, c.plans[1], c.loop_vars, ctx);
+          c.test.clear();
         }
       } catch (const Error& e) {
         RethrowWithWhileContext(e, node->name(), iter);
       }
-      *out = std::move(loop_vars);
-      if (out->empty()) *out = {Tensor()};
+      out.swap(c.loop_vars);
+      if (out.empty()) out.emplace_back(Tensor());
       break;
     }
     case Plan::Kind::kPlaceholder: {
@@ -977,11 +1018,11 @@ void Session::ExecStep(const Plan::Step& step,
       if (feed == ctx.feeds->end()) {
         throw RuntimeError("placeholder '" + name + "' was not fed");
       }
-      *out = {feed->second};
+      out.assign(1, feed->second);
       break;
     }
     case Plan::Kind::kVariable:
-      *out = {GetVariable(node->attr<std::string>("var_name"))};
+      out.assign(1, GetVariable(node->attr<std::string>("var_name")));
       break;
     case Plan::Kind::kAssign: {
       const int64_t t0 = ctx.rec != nullptr ? obs::NowNs() : 0;
@@ -997,7 +1038,8 @@ void Session::ExecStep(const Plan::Step& step,
         ctx.rec->RecordNode(node->name(), node->op(), t0, obs::NowNs(),
                             OutputBytes({inputs[0]}));
       }
-      *out = {std::move(inputs[0])};
+      out.clear();
+      out.push_back(std::move(inputs[0]));
       break;
     }
     case Plan::Kind::kArg:
@@ -1005,29 +1047,27 @@ void Session::ExecStep(const Plan::Step& step,
   }
 }
 
-std::vector<RuntimeValue> Session::RunPlan(
-    const Plan& plan, std::vector<RuntimeValue>& args,
-    std::vector<std::vector<RuntimeValue>>* scratch, RunCtx& ctx) {
-  // One output vector per step (steps are in execution order). The
-  // caller-provided scratch lets While bodies reuse storage across
-  // iterations instead of reallocating.
-  std::vector<std::vector<RuntimeValue>>& slots = *scratch;
+void Session::RunPlan(const Plan& plan, std::vector<RuntimeValue>& args,
+                      PlanScratch& scratch,
+                      std::vector<RuntimeValue>& results, RunCtx& ctx) {
+  // One slot per step (steps are in execution order). A While body's
+  // scratch is reused across iterations instead of reallocated.
+  std::vector<StepSlot>& slots = scratch.slots;
   if (slots.size() < plan.steps.size()) slots.resize(plan.steps.size());
   auto resolve = [&](const Plan::InputRef& ref) -> RuntimeValue& {
     if (ref.step < 0) return args[static_cast<size_t>(ref.output)];
     return slots[static_cast<size_t>(ref.step)]
-                [static_cast<size_t>(ref.output)];
+        .values[static_cast<size_t>(ref.output)];
   };
 
   // Plan order is execution order here, so any input_move flag (last
   // use in plan order) licenses handing the step the stored handle
   // itself: the value's buffer becomes sole-owned inside the kernel
   // and the in-place tensor_ops paths can recycle it.
-  std::vector<RuntimeValue> inputs;
+  std::vector<RuntimeValue>& inputs = scratch.inputs;
   for (size_t s = 0; s < plan.steps.size(); ++s) {
     const Plan::Step& step = plan.steps[s];
     inputs.clear();
-    inputs.reserve(step.inputs.size());
     for (size_t j = 0; j < step.inputs.size(); ++j) {
       RuntimeValue& src = resolve(step.inputs[j]);
       if (step.input_move[j] != Plan::kKeep) {
@@ -1036,11 +1076,13 @@ std::vector<RuntimeValue> Session::RunPlan(
         inputs.push_back(src);
       }
     }
-    ExecStep(step, inputs, &slots[s], ctx);
+    ExecStep(step, inputs, slots[s], ctx);
   }
+  // Handles the last step left unconsumed must not outlive the run (they
+  // would share buffers the caller's next consumer could reuse).
+  inputs.clear();
 
-  std::vector<RuntimeValue> results;
-  results.reserve(plan.returns.size());
+  results.clear();
   for (size_t i = 0; i < plan.returns.size(); ++i) {
     RuntimeValue& src = resolve(plan.returns[i]);
     if (plan.returns_move[i] != 0) {
@@ -1049,11 +1091,12 @@ std::vector<RuntimeValue> Session::RunPlan(
       results.push_back(src);
     }
   }
-  return results;
 }
 
-std::vector<RuntimeValue> Session::RunPlanParallel(
-    const Plan& plan, const std::vector<RuntimeValue>& args, RunCtx& ctx) {
+void Session::RunPlanParallel(const Plan& plan,
+                              const std::vector<RuntimeValue>& args,
+                              std::vector<RuntimeValue>& results,
+                              RunCtx& ctx) {
   auto run = std::make_shared<ParallelRun>();
   run->session = this;
   run->plan = &plan;
@@ -1089,7 +1132,7 @@ std::vector<RuntimeValue> Session::RunPlanParallel(
     if (run->error.has_value()) throw Error(*run->error);
     std::rethrow_exception(run->foreign_error);
   }
-  std::vector<RuntimeValue> results;
+  results.clear();
   results.reserve(plan.returns.size());
   for (size_t i = 0; i < plan.returns.size(); ++i) {
     const Plan::InputRef& ref = plan.returns[i];
@@ -1100,7 +1143,7 @@ std::vector<RuntimeValue> Session::RunPlanParallel(
       // helpers touch slots only through claimed steps), so the final
       // fetch may release each value from its slot.
       RuntimeValue& src = run->slots[static_cast<size_t>(ref.step)]
-                                    [static_cast<size_t>(ref.output)];
+                              .values[static_cast<size_t>(ref.output)];
       if (plan.returns_move[i] != 0) {
         results.push_back(std::move(src));
       } else {
@@ -1108,7 +1151,6 @@ std::vector<RuntimeValue> Session::RunPlanParallel(
       }
     }
   }
-  return results;
 }
 
 void Session::Drain(const std::shared_ptr<ParallelRun>& run,
@@ -1117,6 +1159,11 @@ void Session::Drain(const std::shared_ptr<ParallelRun>& run,
   RunCtx ctx = run->ctx;
   ctx.nodes_executed = 0;
   ctx.kernel_invocations = 0;
+  // This participant's gather buffer, emptied after every step so no
+  // input handle outlives the step that read it, and its list of
+  // successors a step made ready.
+  std::vector<RuntimeValue> inputs;
+  std::vector<int> newly;
   for (;;) {
     int s = -1;
     {
@@ -1148,8 +1195,6 @@ void Session::Drain(const std::shared_ptr<ParallelRun>& run,
       if (run->ctx.cancel != nullptr) {
         run->ctx.cancel->Poll("parallel step", step.node->name());
       }
-      std::vector<RuntimeValue> inputs;
-      inputs.reserve(step.inputs.size());
       for (size_t j = 0; j < step.inputs.size(); ++j) {
         const Plan::InputRef& ref = step.inputs[j];
         if (ref.step < 0) {
@@ -1161,14 +1206,14 @@ void Session::Drain(const std::shared_ptr<ParallelRun>& run,
           // take the handle itself and unlock in-place kernel reuse.
           inputs.push_back(
               std::move(run->slots[static_cast<size_t>(ref.step)]
-                                  [static_cast<size_t>(ref.output)]));
+                            .values[static_cast<size_t>(ref.output)]));
         } else {
           inputs.push_back(run->slots[static_cast<size_t>(ref.step)]
-                                     [static_cast<size_t>(ref.output)]);
+                               .values[static_cast<size_t>(ref.output)]);
         }
       }
-      run->session->ExecStep(step, inputs,
-                             &run->slots[static_cast<size_t>(s)], ctx);
+      run->session->ExecStep(step, inputs, run->slots[static_cast<size_t>(s)],
+                             ctx);
     } catch (const Error& e) {
       std::lock_guard<std::mutex> lock(run->mu);
       if (!run->failed) {
@@ -1186,8 +1231,9 @@ void Session::Drain(const std::shared_ptr<ParallelRun>& run,
       run->ready.clear();
       ok = false;
     }
+    inputs.clear();
 
-    std::vector<int> newly;
+    newly.clear();
     if (ok) {
       // The release in each producer's fetch_sub and the acquire in the
       // final decrement order every producer's slot write before the

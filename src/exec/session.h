@@ -70,6 +70,8 @@ namespace ag::exec {
 // Counters are atomic so concurrent Run() calls aggregate correctly;
 // they read as plain integers (implicit load). nodes_executed and
 // kernel_invocations advance when a Run ends, by that Run's counts.
+// A Const step is a plan literal: it counts as a node executed but calls
+// no kernel, so it is not a kernel invocation.
 struct SessionStats {
   std::atomic<int64_t> nodes_executed{0};  // node evals incl. control flow
   std::atomic<int64_t> kernel_invocations{0};  // kernel calls (cumulative)
@@ -141,9 +143,11 @@ class Session {
 
   // Precompiled execution plan for a fetched subgraph (the top-level
   // fetch list, and the FuncGraphs inside While/Cond):
-  // nodes in topological order with pre-resolved input slot indices and
-  // cached kernel pointers — no hashing per node. This is the
-  // executor-side analog of TF's executor "ready list" compilation.
+  // nodes in topological order with pre-resolved input slot indices,
+  // each bound once (exec::BindStep: kernel, decoded attrs, subgraphs),
+  // so running a step never goes back to the graph::Node — no hashing
+  // and no attr lookup per step. This is the executor-side analog of
+  // TF's executor "ready list" compilation.
   //
   // For the parallel engine each step also carries its consumer list and
   // initial pending-input count, both computed here at compile time so
@@ -170,10 +174,31 @@ class Session {
     static constexpr uint8_t kKeep = 0;
     static constexpr uint8_t kMoveSeq = 1;
     static constexpr uint8_t kMoveAlways = 2;
-    struct Step {
-      const graph::Node* node;
-      Kind kind;
-      const Kernel* kernel = nullptr;  // kKernel only
+    // A Cond or While step's pointer to the session's plan for one of
+    // its subgraphs: null until the step first runs, then set once (the
+    // plan cache is node-based, so the address is stable). Copies start
+    // unbound, so a plan copied out of one session never carries
+    // pointers into that session's cache.
+    class SubPlanRef {
+     public:
+      SubPlanRef() = default;
+      SubPlanRef(const SubPlanRef& /*other*/) noexcept {}
+      SubPlanRef& operator=(const SubPlanRef&) = delete;
+      [[nodiscard]] const Plan* get() const {
+        return plan_.load(std::memory_order_acquire);
+      }
+      void set(const Plan* plan) const {
+        plan_.store(plan, std::memory_order_release);
+      }
+
+     private:
+      mutable std::atomic<const Plan*> plan_{nullptr};
+    };
+    // A bound node (exec/kernels.h: kernel, decoded attrs, subgraphs)
+    // plus its place in the plan.
+    struct Step : BoundStep {
+      Step() = default;
+      explicit Step(BoundStep bound) : BoundStep(std::move(bound)) {}
       std::vector<InputRef> inputs;
       // Parallel to `inputs`: kKeep / kMoveSeq / kMoveAlways.
       std::vector<uint8_t> input_move;
@@ -181,6 +206,8 @@ class Session {
       std::vector<int> successors;
       // Number of distinct producer steps that must finish first.
       int pending_init = 0;
+      // Cond: then/else plans; While: cond/body plans (see SubPlan).
+      SubPlanRef sub_plans[2];
     };
     std::vector<Step> steps;
     std::vector<InputRef> returns;
@@ -268,29 +295,41 @@ class Session {
   // .cc); shared_ptr-owned so pool helpers may outlive the caller's
   // epilogue safely.
   struct ParallelRun;
+  // Reusable storage of plan executions (defined in the .cc): a plan's
+  // scratch holds one StepSlot per step and an input gather buffer; a
+  // Cond or While step's slot also owns the scratch of its sub-plan
+  // runs, so a While body's slots and its nested control flow keep their
+  // capacity across iterations.
+  struct StepSlot;
+  struct PlanScratch;
+  struct ControlScratch;
 
   const Plan& PlanFor(const graph::FuncGraph& fg, RunCtx& ctx);
+  // Plan `which` (0 or 1, see Plan::Step::sub_plans) of a Cond or While
+  // step. Only a step's first execution goes to PlanFor and its lock.
+  const Plan& SubPlan(const Plan::Step& step, int which, RunCtx& ctx);
   // Plan for a top-level fetch list, cached per fetch signature.
   const Plan& TopPlanFor(const std::vector<graph::Output>& fetches,
                          RunCtx& ctx);
   // Executes one plan step given its resolved inputs, writing the step's
-  // outputs to `out`. Shared by the sequential and parallel drains.
+  // outputs to `slot`. Shared by the sequential and parallel drains.
   // `inputs` is consumed: elements the gather loop moved in are the last
   // live handles to their values, and the step forwards them into
   // kernels / sub-plan args so in-place reuse can trigger.
   void ExecStep(const Plan::Step& step, std::vector<RuntimeValue>& inputs,
-                std::vector<RuntimeValue>* out, RunCtx& ctx);
-  // `scratch` (step output storage) may be reused across calls to avoid
-  // reallocating per While iteration; it is resized as needed. `args` is
-  // mutable so flagged arg references can be moved into their final
-  // consumers; callers own the vector and expect it consumed.
-  std::vector<RuntimeValue> RunPlan(
-      const Plan& plan, std::vector<RuntimeValue>& args,
-      std::vector<std::vector<RuntimeValue>>* scratch, RunCtx& ctx);
+                StepSlot& slot, RunCtx& ctx);
+  // Runs `plan` sequentially, writing its returns to `results`.
+  // `scratch` may be reused across calls (a While body's is, across
+  // iterations); it is resized as needed. `args` is mutable so flagged
+  // arg references can be moved into their final consumers; callers own
+  // the vector and expect it consumed.
+  void RunPlan(const Plan& plan, std::vector<RuntimeValue>& args,
+               PlanScratch& scratch, std::vector<RuntimeValue>& results,
+               RunCtx& ctx);
   // Ready-queue parallel engine: the caller drains alongside up to
   // (ctx.inter_op_threads - 1) pool helpers.
-  std::vector<RuntimeValue> RunPlanParallel(
-      const Plan& plan, const std::vector<RuntimeValue>& args, RunCtx& ctx);
+  void RunPlanParallel(const Plan& plan, const std::vector<RuntimeValue>& args,
+                       std::vector<RuntimeValue>& results, RunCtx& ctx);
   // One scheduler participant: claims ready steps until the run
   // finishes (caller) or the queue momentarily empties (helper).
   // Static: pool helpers reach the session through the run state only

@@ -125,9 +125,13 @@ int64_t Tensor::scalar_int() const {
 bool Tensor::scalar_bool() const { return scalar() != 0.0f; }
 
 Tensor Tensor::Reshaped(Shape new_shape) const {
-  if (new_shape.num_elements() != num_elements()) {
+  return Reshaped(MakeShapePtr(std::move(new_shape)));
+}
+
+Tensor Tensor::Reshaped(std::shared_ptr<const Shape> new_shape) const {
+  if (new_shape->num_elements() != num_elements()) {
     throw ValueError("cannot reshape " + shape_->str() + " to " +
-                     new_shape.str());
+                     new_shape->str());
   }
   return Tensor(std::move(new_shape), dtype_, buffer_);
 }

@@ -92,6 +92,8 @@ class Tensor {
   // The alias bumps the buffer refcount, which is exactly what blocks
   // in-place kernels from ever mutating a reshaped view's storage.
   [[nodiscard]] Tensor Reshaped(Shape new_shape) const;
+  // Same, sharing `new_shape` with the result instead of allocating one.
+  [[nodiscard]] Tensor Reshaped(std::shared_ptr<const Shape> new_shape) const;
   // Returns a copy with the dtype tag changed (values reinterpreted
   // semantically: bool<->float via 0/1, int<->float via truncation).
   // The rvalue overload rewrites the buffer in place when sole-owned.

@@ -726,6 +726,13 @@ Tensor Reshape(const Tensor& a, Shape shape) {
   return a.Reshaped(Shape(std::move(dims)));
 }
 
+Tensor Reshape(const Tensor& a, const std::shared_ptr<const Shape>& shape) {
+  for (int64_t d : shape->dims()) {
+    if (d == -1) return Reshape(a, *shape);
+  }
+  return a.Reshaped(shape);
+}
+
 Tensor ExpandDims(const Tensor& a, int axis) {
   std::vector<int64_t> dims = a.shape().dims();
   if (axis < 0) axis += a.rank() + 1;

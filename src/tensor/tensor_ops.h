@@ -157,6 +157,9 @@ struct FusedProgram {
 
 // ---- Shape manipulation ----
 [[nodiscard]] Tensor Reshape(const Tensor& a, Shape shape);
+// Same; when `shape` holds no -1 the result shares it (no allocation).
+[[nodiscard]] Tensor Reshape(const Tensor& a,
+                             const std::shared_ptr<const Shape>& shape);
 // Inserts a length-1 axis at `axis` (negative counts from the end).
 [[nodiscard]] Tensor ExpandDims(const Tensor& a, int axis);
 // General axis permutation, e.g. Transpose(x, {1, 0, 2}).

@@ -2,8 +2,8 @@
 // the machine, so they are gated strictly: a change that moves one
 // updates the pin here and says why.
 //   - graph nodes after Optimize, for every function of examples/*.pym;
-//   - kernels and fresh buffer allocations per staged Run of the
-//     Appendix D.1 beam search and the Table 1 dynamic_rnn;
+//   - kernels, Const steps and fresh buffer allocations per staged Run
+//     of the Appendix D.1 beam search and the Table 1 dynamic_rnn;
 //   - execution plans compiled when staging from .pym and from .agc;
 //   - buffer allocations made while loading an .agc.
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -72,6 +73,7 @@ struct RunCounters {
   int64_t allocs = 0;         // buffers one Run allocates, pool off
   int64_t pooled_allocs = 0;  // fresh allocations of a warm pooled Run
   int64_t matmuls = 0;        // MatMul steps the pool-off Run executed
+  int64_t consts = 0;         // Const steps (plan literals, no kernel)
 };
 
 // Counters of one steady-state Run on `backend`. The pins use the scalar
@@ -98,6 +100,7 @@ RunCounters CountRun(StagedFunction& fn,
   c.allocs = tensor::ThreadAllocCount() - allocs0;
   for (const obs::NodeStats& node : meta.step_stats.nodes) {
     if (node.op == "MatMul") c.matmuls += node.count;
+    if (node.op == "Const") c.consts += node.count;
   }
   return c;
 }
@@ -168,7 +171,10 @@ TEST(Counters, BeamSearchKernelsAndAllocsPerRun) {
   workloads::InstallBeamSearch(agc, SmallBeam(), inputs);
   StagedFunction fn = StageBeam(agc);
   const RunCounters c = CountRun(fn, BeamFeeds(inputs));
-  EXPECT_EQ(c.kernels, 517);
+  // Const steps are plan literals and call no kernel; they are pinned
+  // apart.
+  EXPECT_EQ(c.kernels, 354);
+  EXPECT_EQ(c.consts, 163);
   EXPECT_EQ(c.allocs, 290);
   EXPECT_EQ(c.pooled_allocs, 0);
 }
@@ -179,7 +185,8 @@ TEST(Counters, DynamicRnnKernelsAndAllocsPerRun) {
   workloads::InstallRnn(agc, inputs);
   StagedFunction fn = StageRnn(agc);
   const RunCounters c = CountRun(fn, RnnFeeds(inputs));
-  EXPECT_EQ(c.kernels, 107);
+  EXPECT_EQ(c.kernels, 78);
+  EXPECT_EQ(c.consts, 29);
   EXPECT_EQ(c.allocs, 70);
   EXPECT_EQ(c.pooled_allocs, 0);
 }
@@ -230,6 +237,52 @@ TEST(Counters, PlansCompiledFromPymAndAgcAndLoadAllocs) {
   StagedFunction& from_agc = loaded.at("dynamic_rnn");
   (void)from_agc.Run(RnnFeeds(inputs));
   EXPECT_EQ(from_agc.session->stats().plans_compiled.load(), 0);
+  std::remove(path.c_str());
+}
+
+// Plans loaded from an .agc are bound by the same BindStep as compiled
+// ones: the loaded beam search computes the same outputs, bit for bit,
+// with the same kernels and Const literals per Run.
+TEST(Counters, BeamSearchFromAgcBindsLikeStaged) {
+  const workloads::BeamInputs inputs = workloads::MakeBeamInputs(SmallBeam());
+  AutoGraph agc;
+  workloads::InstallBeamSearch(agc, SmallBeam(), inputs);
+  StagedFunction staged = StageBeam(agc);
+  const std::vector<exec::RuntimeValue> feeds = BeamFeeds(inputs);
+  (void)staged.Run(feeds);
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("counters_test_beam_" + std::to_string(::getpid()) + ".agc"))
+          .string();
+  core::SaveArtifact(path, {{"beam_search", &staged}});
+  auto loaded = core::StageFromArtifact(path);
+  StagedFunction& from_agc = loaded.at("beam_search");
+
+  const RunCounters a = CountRun(staged, feeds);
+  const RunCounters b = CountRun(from_agc, feeds);
+  EXPECT_EQ(b.kernels, a.kernels);
+  EXPECT_EQ(b.consts, a.consts);
+  EXPECT_EQ(b.allocs, a.allocs);
+
+  for (const bool pool : {true, false}) {
+    obs::RunOptions options;
+    options.step_stats = false;
+    options.buffer_pool = pool;
+    const std::vector<exec::RuntimeValue> want = staged.Run(feeds, &options);
+    const std::vector<exec::RuntimeValue> got = from_agc.Run(feeds, &options);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      const Tensor& w = exec::AsTensor(want[i]);
+      const Tensor& g = exec::AsTensor(got[i]);
+      ASSERT_EQ(g.shape(), w.shape());
+      EXPECT_EQ(g.dtype(), w.dtype());
+      EXPECT_EQ(std::memcmp(g.data(), w.data(),
+                            static_cast<size_t>(w.num_elements()) *
+                                sizeof(float)),
+                0);
+    }
+  }
   std::remove(path.c_str());
 }
 

@@ -3,8 +3,14 @@
 // compiled-plan path, and runtime error reporting.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
+#include <thread>
+#include <vector>
+
 #include "exec/session.h"
 #include "graph/ops.h"
+#include "tensor/tensor_ops.h"
 
 namespace ag::exec {
 namespace {
@@ -374,6 +380,131 @@ TEST(Session, WhileLoopErrorInsideBodySurfaces) {
       });
   Session session(&g);
   EXPECT_THROW((void)session.Run({}, outs), Error);
+}
+
+bool BitEqual(const Tensor& a, const Tensor& b) {
+  return a.dtype() == b.dtype() && a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.num_elements()) * sizeof(float)) ==
+             0;
+}
+
+// A Const step is a plan literal: its slot gets a refcount copy of the
+// bound tensor. Fed into an in-place Add whose other operand is
+// sole-owned, the Add must write into the other operand's buffer, never
+// into the literal's, which the node's attr (and every later iteration)
+// still reads.
+TEST(Session, ConstLiteralIsNeverWrittenInPlace) {
+  Graph g;
+  GraphContext ctx(&g);
+  const Tensor start = Tensor::FromVector({0.5f, -1.0f, 2.0f}, Shape({3}));
+  const Tensor offset = Tensor::FromVector({0.25f, 0.5f, -0.75f}, Shape({3}));
+  Output limit = Placeholder(ctx, "n", DType::kInt32);
+  Output c_node;
+  std::vector<Output> outs = While(
+      ctx, {Const(ctx, Tensor::ScalarInt(0)), Const(ctx, start)},
+      [&](const std::vector<Output>& args) {
+        return Op(ctx, "Less", {args[0], limit});
+      },
+      [&](const std::vector<Output>& args) {
+        c_node = Const(ctx, offset);
+        // Tanh's result is sole-owned and dead after the Add, the literal
+        // is shared: the Add may only reuse Tanh's buffer.
+        return std::vector<Output>{
+            Op(ctx, "Add", {args[0], Const(ctx, Tensor::ScalarInt(1))}),
+            Op(ctx, "Add", {c_node, Op(ctx, "Tanh", {args[1]})})};
+      });
+  const Tensor attr_before = c_node.node->attr<Tensor>("value");
+  const std::vector<float> offset_values(offset.data(), offset.data() + 3);
+
+  Tensor expected = start;
+  for (int i = 0; i < 5; ++i) expected = Add(offset, Tanh(expected));
+
+  Session session(&g);
+  for (const int inter_op : {0, 2}) {
+    for (const bool pool : {true, false}) {
+      SCOPED_TRACE("inter_op " + std::to_string(inter_op) + " pool " +
+                   std::to_string(pool));
+      obs::RunOptions options;
+      options.step_stats = false;
+      options.inter_op_threads = inter_op;
+      options.buffer_pool = pool;
+      for (int run = 0; run < 2; ++run) {
+        auto results =
+            session.Run({{"n", Tensor::ScalarInt(5)}}, outs, &options);
+        EXPECT_TRUE(BitEqual(AsTensor(results[1]), expected));
+      }
+    }
+  }
+  const Tensor& attr_after = c_node.node->attr<Tensor>("value");
+  EXPECT_EQ(attr_after.data(), attr_before.data());
+  EXPECT_EQ(std::vector<float>(attr_after.data(), attr_after.data() + 3),
+            offset_values);
+}
+
+// Cond and While steps bind their sub-plans on first execution. Threads
+// racing the first Run of a fresh session must compile or find each
+// sub-plan exactly as one thread would and agree on the results.
+TEST(Session, RacingFirstRunsBindSubPlansOnce) {
+  Graph g;
+  GraphContext ctx(&g);
+  Output limit = Placeholder(ctx, "n", DType::kInt32);
+  std::vector<Output> outs = While(
+      ctx,
+      {Const(ctx, Tensor::ScalarInt(0)), Const(ctx, Tensor::Scalar(0.0f))},
+      [&](const std::vector<Output>& args) {
+        return Op(ctx, "Less", {args[0], limit});
+      },
+      [&](const std::vector<Output>& args) {
+        Output parity =
+            Op(ctx, "Mod", {args[0], Const(ctx, Tensor::ScalarInt(2))});
+        Output even =
+            Op(ctx, "Equal", {parity, Const(ctx, Tensor::ScalarInt(0))});
+        std::vector<Output> step = Cond(
+            ctx, even,
+            [&] {
+              return std::vector<Output>{
+                  Op(ctx, "Add", {args[1], Const(ctx, Tensor::Scalar(1.0f))})};
+            },
+            [&] {
+              return std::vector<Output>{
+                  Op(ctx, "Mul", {args[1], Const(ctx, Tensor::Scalar(2.0f))})};
+            });
+        return std::vector<Output>{
+            Op(ctx, "Add", {args[0], Const(ctx, Tensor::ScalarInt(1))}),
+            step[0]};
+      });
+  // acc: +1 on even i, *2 on odd i, for i in 0..5: ((((0+1)*2+1)*2+1)*2.
+  constexpr float kExpected = 14.0f;
+
+  constexpr int kThreads = 4;
+  for (int trial = 0; trial < 8; ++trial) {
+    Session session(&g);
+    std::atomic<int> ready{0};
+    std::vector<float> got(kThreads, 0.0f);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) {
+        }
+        obs::RunOptions options;
+        options.step_stats = false;
+        options.inter_op_threads = t % 2;
+        got[static_cast<size_t>(t)] =
+            AsTensor(session.Run({{"n", Tensor::ScalarInt(6)}}, outs,
+                                 &options)[1])
+                .scalar();
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (float v : got) EXPECT_FLOAT_EQ(v, kExpected);
+    // The top plan and the four subgraph plans, each installed once; a
+    // racing compile may repeat the work but not the install.
+    EXPECT_GE(session.stats().plans_compiled.load(), 5);
+    EXPECT_EQ(session.stats().runs.load(), kThreads);
+  }
 }
 
 }  // namespace
