@@ -8,8 +8,13 @@
 //                 quantized path (weights pre-quantized offline, like
 //                 the quantize_weights pass leaves them);
 //   MatMulShape   the serving and decode shapes (m 1..8, where AVX2
-//                 reads B in place) and two shapes that pack B,
-//                 single-threaded;
+//                 reads B in place at either vector width), among them
+//                 beam search's 8x64x64 state update and 8x64x128
+//                 output projection and rnn_serve's batch-4 4x64x256
+//                 input projection, and two larger shapes, 8x1024^2 and
+//                 128x512^2, single-threaded. On an AVX-512F CPU the
+//                 avx2 rows run the 512-bit micro-kernel, which reads B
+//                 in place at both large shapes; at 256 bits both pack B;
 //   FusedChain    a staged exp(tanh(x*y)+x) elementwise chain through
 //                 the fusion pipeline — exercises the vectorized
 //                 FusedProgram row loop;
@@ -305,8 +310,9 @@ void MatMulArgs(benchmark::internal::Benchmark* b) {
 
 void MatMulShapeArgs(benchmark::internal::Benchmark* b) {
   b->ArgNames({"m", "k", "n", "backend", "threads"});
-  const int64_t shapes[][3] = {{1, 64, 256},  {1, 256, 256},
-                               {4, 256, 256}, {8, 64, 128},
+  const int64_t shapes[][3] = {{1, 64, 256},    {1, 256, 256},
+                               {4, 64, 256},    {4, 256, 256},
+                               {8, 64, 64},     {8, 64, 128},
                                {8, 1024, 1024}, {128, 512, 512}};
   for (const auto& [m, k, n] : shapes) {
     for (int64_t backend : {kScalar, kAvx2}) b->Args({m, k, n, backend, 1});

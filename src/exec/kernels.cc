@@ -175,13 +175,19 @@ const std::unordered_map<std::string, Kernel>& Registry() {
     reg["LogSoftmax"] = Unary(&LogSoftmax);
 
     // Whole elementwise chains collapsed by the fusion pass: one kernel
-    // invocation, zero intermediate tensors. Inputs are taken by value
-    // so a dead full-shape operand's buffer becomes the output.
+    // invocation, zero intermediate tensors. The inputs move into a
+    // per-thread buffer that keeps its capacity, so a call allocates no
+    // vector, and FusedEval takes them by reference, so a dead
+    // full-shape operand's buffer becomes the output. FusedEval runs no
+    // kernel, so one thread never uses the buffer twice at once; it is
+    // emptied when the step ends, so it holds no input past it.
     reg["FusedElementwise"] = [](const BoundStep& b, In& in, In& out) {
-      std::vector<Tensor> inputs;
-      inputs.reserve(in.size());
+      thread_local std::vector<Tensor> inputs;
+      struct Drop {
+        ~Drop() { inputs.clear(); }
+      } drop;
       for (RuntimeValue& v : in) inputs.push_back(TakeTensor(v));
-      One(out, FusedEval(*b.program, std::move(inputs)));
+      One(out, FusedEval(*b.program, inputs));
     };
 
     reg["MatMul"] = Binary(&MatMul);

@@ -21,6 +21,7 @@ thread_local const KernelTable* t_override = nullptr;
 #ifdef AG_SIMD_AVX2
 // Defined in simd_avx2.cc (compiled with -mavx2 -mfma).
 const KernelTable& Avx2KernelTable();
+MatMulKernel Avx2MatMulAtWidth(int bits);
 #endif
 
 const char* KernelBackendName(KernelBackend backend) {
@@ -49,6 +50,15 @@ bool Avx2Available() {
 #else
   return false;
 #endif
+}
+
+MatMulKernel MatMulKernelForTesting(int bits) {
+#ifdef AG_SIMD_AVX2
+  if (Avx2Available()) return Avx2MatMulAtWidth(bits);
+#else
+  (void)bits;
+#endif
+  return nullptr;
 }
 
 std::optional<KernelBackend> ParseKernelBackend(const std::string& name) {

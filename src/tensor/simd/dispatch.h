@@ -31,6 +31,10 @@ enum class KernelBackend : std::uint8_t { kScalar = 0, kAvx2 = 1 };
 // agprof / bench_kernels.
 [[nodiscard]] const char* KernelBackendName(KernelBackend backend);
 
+// Dense row-major float [m,k] x [k,n] -> [m,n].
+using MatMulKernel = void (*)(const float* a, const float* b, float* c,
+                              int64_t m, int64_t k, int64_t n);
+
 // Vectorized kernel entry points for one backend. Null entries fall
 // back to the scalar implementation at each call site. All functions
 // are deterministic: results depend only on the input values, never on
@@ -38,10 +42,11 @@ enum class KernelBackend : std::uint8_t { kScalar = 0, kAvx2 = 1 };
 struct KernelTable {
   KernelBackend backend = KernelBackend::kScalar;
 
-  // Dense row-major [m,k] x [k,n] -> [m,n]. Packs B, shards rows, and
-  // polls cancellation internally; writes every element of c.
-  void (*matmul)(const float* a, const float* b, float* c, int64_t m,
-                 int64_t k, int64_t n) = nullptr;
+  // Packs B when it pays, shards rows, and polls cancellation
+  // internally; writes every element of c. The avx2 table runs a 512-bit
+  // micro-kernel on AVX-512F CPUs and a 256-bit one elsewhere, with the
+  // same bits (each element one ascending-k FMA chain from +0).
+  MatMulKernel matmul = nullptr;
 
   // Elementwise transcendental arrays (polynomial vexpf/vtanhf; ULP
   // bounds documented in DESIGN.md §4j). dst may alias src exactly.
@@ -83,6 +88,13 @@ struct KernelTable {
 // True when the binary was compiled with the AVX2 translation unit
 // (-DAG_SIMD=ON), regardless of what the CPU supports.
 [[nodiscard]] bool Avx2CompiledIn();
+
+// Test-only: the avx2 backend's float MatMul at one vector width (256
+// or 512 bits), bypassing the table's pick of the widest width the CPU
+// runs, so tests can hold every compiled width to the same bits. Null
+// when this build or CPU cannot run that width. Nothing else selects a
+// width: "avx2" always means the widest one available.
+[[nodiscard]] MatMulKernel MatMulKernelForTesting(int bits);
 
 // Parses a backend name: "scalar", "avx2", or "auto" (= nullopt, pick
 // the best available). Throws ValueError on anything else.

@@ -1,7 +1,9 @@
 // AVX2/FMA kernel backend (DESIGN.md §4j). This is the only translation
 // unit compiled with -mavx2 -mfma; dispatch.cc calls Avx2KernelTable()
 // strictly behind a __builtin_cpu_supports runtime check, so the binary
-// stays runnable on plain SSE2 hardware.
+// stays runnable on plain SSE2 hardware. Its AVX-512 functions (the
+// 512-bit float MatMul micro-kernel and the VNNI int8 one) carry target
+// attributes and run only behind their own CPU checks.
 //
 // Numerical contract:
 //   - Transcendentals use a Cephes-style polynomial exp core. Every
@@ -15,10 +17,12 @@
 //     from libm semantics: exp flushes to zero below -87.3365 (no
 //     subnormal range), tanh(-0) = +0.
 //   - MatMul accumulates each output element over k in ascending order
-//     with FMA, independent of row-block and shard boundaries, so
-//     parallel == sequential bit-identity holds within the backend,
-//     and whether B is read in place or packed changes no bit (a
-//     std::fmaf chain over ascending k reproduces every element).
+//     with FMA, independent of vector width, row-block and shard
+//     boundaries, so parallel == sequential bit-identity holds within
+//     the backend, the 512-bit kernel an AVX-512F CPU runs gives the
+//     256-bit kernel's bits, and whether B is read in place or packed
+//     changes no bit (a std::fmaf chain over ascending k reproduces
+//     every element).
 //   - The int8 qmatmul is exact integer arithmetic: bit-identical to
 //     the scalar reference in quant.cc. _mm256_maddubs_epi16 is
 //     deliberately avoided (it saturates u8*s8 pair sums); the packed
@@ -234,26 +238,24 @@ void VSigmoid(const float* src, float* dst, int64_t n) {
 }
 
 // ---- float MatMul ------------------------------------------------------
-// Rows are sharded and processed in 6-row register blocks against
-// 16-column tiles of B: 12 ymm accumulators, full-k accumulation in
-// registers (6 broadcasts + 2 B loads + 12 FMAs per k step). The
-// micro-kernel reads B in place with row stride ldb: a full tile row is
-// the 16 floats at b + kk*ldb + j0, and the last partial tile
-// (n % 16 != 0) loads and stores through lane masks — masked lanes read
-// as 0.0f and never touch memory past B or C. Each C[i][j] is an
-// ascending-k FMA chain from zero regardless of tile, block, shard or
-// packing, which is the determinism contract; row blocks < 6 run the
-// same chain through templated block sizes.
-
-constexpr int64_t kColTile = 16;
-constexpr int64_t kRowBlock = 6;
-// B is copied into contiguous [k][16] tile panels (then read with
-// ldb = 16) only when more than one row block reads it and the row
-// blocks together read at least 2Mi floats (8 MiB) of it. Measured on
-// one core (EXPERIMENTS.md), the copy lost up to 2.3x below that and
-// won up to 2x well above it, where strided rows of a large B keep
-// missing cache.
-constexpr int64_t kPackMinReads = int64_t{2} << 20;
+// One driver (MatMulDriver) for two vector widths. It shards rows, walks
+// each shard in row blocks against column tiles of B, packs B when the
+// width's rule says so, and polls cancellation once per row block. A
+// width supplies its tile and block sizes, its B-pack rule and its
+// micro-kernel, which computes one row block x column tile with full-k
+// accumulation in registers:
+//   - Ymm (256-bit): 6-row blocks x 16-column tiles, 12 ymm
+//     accumulators (6 broadcasts + 2 B loads + 12 FMAs per k step);
+//   - Zmm (512-bit, AVX-512F CPUs only): 8-row blocks x 32-column tiles,
+//     16 zmm accumulators (8 broadcasts + 2 B loads + 16 FMAs).
+// The micro-kernel reads B with row stride ldb: in place, a full tile
+// row is the kColTile floats at b + kk*n + j0; the last partial tile
+// (n % kColTile != 0) loads and stores through lane masks, so masked
+// lanes read as 0.0f and never touch memory past B or C. Each C[i][j] is
+// an ascending-k FMA chain from +0 regardless of width, tile, block,
+// shard or packing, which is the determinism contract: both widths give
+// the same bits. Row blocks shorter than kRowBlock run the same chain
+// through templated block sizes.
 
 template <int Rows, bool kMasked>
 inline void MicroKernel(const float* a, int64_t lda, const float* b,
@@ -314,15 +316,140 @@ inline void RunMicroKernel(int rows, const float* a, int64_t lda,
   }
 }
 
-void MatMulAvx2(const float* a, const float* b, float* c, int64_t m,
-                int64_t k, int64_t n) {
+struct Ymm {
+  static constexpr int64_t kColTile = 16;
+  static constexpr int64_t kRowBlock = 6;
+  // B is copied into contiguous [k][16] tile panels (then read with
+  // ldb = 16) only when more than one row block reads it and the row
+  // blocks together read at least 2Mi floats (8 MiB) of it. Measured on
+  // one core (EXPERIMENTS.md), the copy lost up to 2.3x below that and
+  // won up to 2x well above it, where strided rows of a large B keep
+  // missing cache.
+  static bool PackB(int64_t row_blocks, int64_t k, int64_t n) {
+    return row_blocks > 1 && row_blocks * k * n >= int64_t{2} << 20;
+  }
+
+  template <bool kMasked>
+  static void Tile(int rows, const float* a, int64_t lda, const float* b,
+                   int64_t ldb, int64_t k, float* c, int64_t ldc,
+                   int64_t cols) {
+    RunMicroKernel<kMasked>(rows, a, lda, b, ldb, k, c, ldc, cols);
+  }
+};
+
+// AVX-512 code lives only in functions carrying the target attribute
+// below, all inside this anonymous namespace: the shared driver is
+// compiled for AVX2 alone, GCC never inlines an AVX-512 function into
+// it, and no inline function with external linkage is built with
+// AVX-512 enabled, so the linker cannot fold one into code an AVX2-only
+// CPU reaches. The Zmm table entry is installed only behind
+// Avx512FAvailable(). Clang builds keep the 256-bit kernel (the same
+// GCC-only guard as the VNNI path).
+#if defined(__GNUC__) && !defined(__clang__)
+#define AG_HAVE_AVX512 1
+#define AG_TARGET_AVX512F __attribute__((target("avx512f")))
+
+bool Avx512FAvailable() {
+  static const bool available = __builtin_cpu_supports("avx512f");
+  return available;
+}
+
+template <int Rows, bool kMasked>
+AG_TARGET_AVX512F inline void MicroKernel512(const float* a, int64_t lda,
+                                             const float* b, int64_t ldb,
+                                             int64_t k, float* c,
+                                             int64_t ldc, int64_t cols) {
+  __mmask16 mask0 = 0xFFFF;
+  __mmask16 mask1 = 0xFFFF;
+  if constexpr (kMasked) {
+    const int64_t cols1 = cols > 16 ? cols - 16 : 0;
+    mask0 = static_cast<__mmask16>(cols >= 16 ? 0xFFFFu : (1u << cols) - 1u);
+    mask1 = static_cast<__mmask16>((1u << cols1) - 1u);
+  }
+  __m512 acc0[Rows], acc1[Rows];
+  for (int r = 0; r < Rows; ++r) {
+    acc0[r] = _mm512_setzero_ps();
+    acc1[r] = _mm512_setzero_ps();
+  }
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const float* brow = b + kk * ldb;
+    __m512 b0, b1;
+    if constexpr (kMasked) {
+      b0 = _mm512_maskz_loadu_ps(mask0, brow);
+      b1 = _mm512_maskz_loadu_ps(mask1, brow + 16);
+    } else {
+      b0 = _mm512_loadu_ps(brow);
+      b1 = _mm512_loadu_ps(brow + 16);
+    }
+    for (int r = 0; r < Rows; ++r) {
+      const __m512 av = _mm512_set1_ps(a[r * lda + kk]);
+      acc0[r] = _mm512_fmadd_ps(av, b0, acc0[r]);
+      acc1[r] = _mm512_fmadd_ps(av, b1, acc1[r]);
+    }
+  }
+  for (int r = 0; r < Rows; ++r) {
+    if constexpr (kMasked) {
+      _mm512_mask_storeu_ps(c + r * ldc, mask0, acc0[r]);
+      _mm512_mask_storeu_ps(c + r * ldc + 16, mask1, acc1[r]);
+    } else {
+      _mm512_storeu_ps(c + r * ldc, acc0[r]);
+      _mm512_storeu_ps(c + r * ldc + 16, acc1[r]);
+    }
+  }
+}
+
+template <bool kMasked>
+AG_TARGET_AVX512F void RunMicroKernel512(int rows, const float* a,
+                                         int64_t lda, const float* b,
+                                         int64_t ldb, int64_t k, float* c,
+                                         int64_t ldc, int64_t cols) {
+  switch (rows) {
+    case 1: MicroKernel512<1, kMasked>(a, lda, b, ldb, k, c, ldc, cols); break;
+    case 2: MicroKernel512<2, kMasked>(a, lda, b, ldb, k, c, ldc, cols); break;
+    case 3: MicroKernel512<3, kMasked>(a, lda, b, ldb, k, c, ldc, cols); break;
+    case 4: MicroKernel512<4, kMasked>(a, lda, b, ldb, k, c, ldc, cols); break;
+    case 5: MicroKernel512<5, kMasked>(a, lda, b, ldb, k, c, ldc, cols); break;
+    case 6: MicroKernel512<6, kMasked>(a, lda, b, ldb, k, c, ldc, cols); break;
+    case 7: MicroKernel512<7, kMasked>(a, lda, b, ldb, k, c, ldc, cols); break;
+    default: MicroKernel512<8, kMasked>(a, lda, b, ldb, k, c, ldc, cols); break;
+  }
+}
+
+struct Zmm {
+  static constexpr int64_t kColTile = 32;
+  static constexpr int64_t kRowBlock = 8;
+  // B is copied into [k][32] panels only when at least five 8-row blocks
+  // read it (m > 32) and it holds at least 320Ki floats (1.25 MiB). A
+  // paired sweep of 81 shapes on one core (EXPERIMENTS.md) re-derived the
+  // rule for this kernel, which spends less time per row of B than the
+  // 256-bit one, so the copy pays only later: packing won on all 25
+  // shapes the rule packs, by up to 1.7x, and lost on 43 of the 56 it
+  // leaves in place. The 256-bit rule would pack 9x1024^2, where the
+  // copy costs 1.31x the in-place time.
+  static bool PackB(int64_t row_blocks, int64_t k, int64_t n) {
+    return row_blocks >= 5 && k * n >= int64_t{320} << 10;
+  }
+
+  template <bool kMasked>
+  static void Tile(int rows, const float* a, int64_t lda, const float* b,
+                   int64_t ldb, int64_t k, float* c, int64_t ldc,
+                   int64_t cols) {
+    RunMicroKernel512<kMasked>(rows, a, lda, b, ldb, k, c, ldc, cols);
+  }
+};
+#endif  // AG_HAVE_AVX512
+
+template <typename W>
+void MatMulDriver(const float* a, const float* b, float* c, int64_t m,
+                  int64_t k, int64_t n) {
+  constexpr int64_t kColTile = W::kColTile;
   const int64_t tiles = (n + kColTile - 1) / kColTile;
   // The pack buffer comes from the buffer pool, so a staged loop that
   // packs reuses the same block run over run. A partial tile's lanes
   // past `cols` are left unwritten: the masked loads never read them.
   PooledBuffer pack_buf;
-  const int64_t row_blocks = (m + kRowBlock - 1) / kRowBlock;
-  if (row_blocks > 1 && row_blocks * k * n >= kPackMinReads) {
+  const int64_t row_blocks = (m + W::kRowBlock - 1) / W::kRowBlock;
+  if (W::PackB(row_blocks, k, n)) {
     pack_buf = BufferPool::Global().Acquire(tiles * k * kColTile);
     float* pack = pack_buf.mutable_data();
     for (int64_t t = 0; t < tiles; ++t) {
@@ -343,20 +470,22 @@ void MatMulAvx2(const float* a, const float* b, float* c, int64_t m,
   const int64_t rows_grain =
       std::max<int64_t>(1, kElementGrain / std::max<int64_t>(1, k * n));
   runtime::ParallelFor(m, rows_grain, [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; i += kRowBlock) {
+    for (int64_t i = i0; i < i1; i += W::kRowBlock) {
       if (cancel != nullptr) cancel->Poll("MatMul avx2 block");
       const int rows = static_cast<int>(
-          std::min<int64_t>(kRowBlock, i1 - i));
+          std::min<int64_t>(W::kRowBlock, i1 - i));
       for (int64_t t = 0; t < tiles; ++t) {
         const int64_t j0 = t * kColTile;
         const int64_t cols = std::min<int64_t>(kColTile, n - j0);
         const float* bt = pack != nullptr ? pack + t * k * kColTile : b + j0;
+        // Full tiles take plain loads: GCC keeps the accumulators in
+        // registers only when no masked-load builtin is in the k loop.
         if (cols == kColTile) {
-          RunMicroKernel<false>(rows, a + i * k, k, bt, ldb, k,
-                                c + i * n + j0, n, cols);
+          W::template Tile<false>(rows, a + i * k, k, bt, ldb, k,
+                                  c + i * n + j0, n, cols);
         } else {
-          RunMicroKernel<true>(rows, a + i * k, k, bt, ldb, k,
-                               c + i * n + j0, n, cols);
+          W::template Tile<true>(rows, a + i * k, k, bt, ldb, k,
+                                 c + i * n + j0, n, cols);
         }
       }
     }
@@ -449,6 +578,8 @@ bool FusedStepAvx2(const FusedStep& s, const float* a, const float* b,
 // for 8 columns without saturation (|q| <= 128 keeps every pair sum
 // well inside int32). Odd k is zero-padded on both sides.
 
+constexpr int64_t kQColTile = 16;
+
 template <int Rows>
 inline void QMicroKernel(const int32_t* apack, int64_t lda2,
                          const int16_t* wpack, int64_t k2, int32_t* acc,
@@ -460,9 +591,9 @@ inline void QMicroKernel(const int32_t* apack, int64_t lda2,
   }
   for (int64_t kk2 = 0; kk2 < k2; ++kk2) {
     const __m256i w0 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(wpack + kk2 * kColTile * 2));
+        reinterpret_cast<const __m256i*>(wpack + kk2 * kQColTile * 2));
     const __m256i w1 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(wpack + kk2 * kColTile * 2 + 16));
+        reinterpret_cast<const __m256i*>(wpack + kk2 * kQColTile * 2 + 16));
     for (int r = 0; r < Rows; ++r) {
       // One vpbroadcastd from the pre-packed pair — the activation side
       // costs a single load µop per row per k-pair.
@@ -471,7 +602,7 @@ inline void QMicroKernel(const int32_t* apack, int64_t lda2,
       acc1[r] = _mm256_add_epi32(acc1[r], _mm256_madd_epi16(av, w1));
     }
   }
-  if (cols == kColTile) {
+  if (cols == kQColTile) {
     for (int r = 0; r < Rows; ++r) {
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + r * ldc),
                           acc0[r]);
@@ -479,7 +610,7 @@ inline void QMicroKernel(const int32_t* apack, int64_t lda2,
                           acc1[r]);
     }
   } else {
-    alignas(32) int32_t tmp[kColTile];
+    alignas(32) int32_t tmp[kQColTile];
     for (int r = 0; r < Rows; ++r) {
       _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), acc0[r]);
       _mm256_store_si256(reinterpret_cast<__m256i*>(tmp + 8), acc1[r]);
@@ -513,8 +644,7 @@ inline void RunQMicroKernel(int rows, const int32_t* apack, int64_t lda2,
 // at kernel entry and does not change the backend name ("avx2" means
 // "the best integer kernel this machine runs", mirroring how BLAS
 // backends sub-dispatch).
-#if defined(__GNUC__) && !defined(__clang__)
-#define AG_HAVE_QVNNI 1
+#if defined(AG_HAVE_AVX512)
 #define AG_TARGET_VNNI \
   __attribute__((target("avx512f,avx512bw,avx512vl,avx512vnni")))
 
@@ -528,13 +658,13 @@ AG_TARGET_VNNI inline void QMicroKernelVnni(const int32_t* apack,
   const __m512i iv = _mm512_loadu_si512(init);
   for (int r = 0; r < Rows; ++r) accv[r] = iv;
   for (int64_t kk4 = 0; kk4 < k4; ++kk4) {
-    const __m512i w = _mm512_loadu_si512(wpack + kk4 * kColTile * 4);
+    const __m512i w = _mm512_loadu_si512(wpack + kk4 * kQColTile * 4);
     for (int r = 0; r < Rows; ++r) {
       const __m512i av = _mm512_set1_epi32(apack[r * lda4 + kk4]);
       accv[r] = _mm512_dpbusd_epi32(accv[r], av, w);
     }
   }
-  if (cols == kColTile) {
+  if (cols == kQColTile) {
     for (int r = 0; r < Rows; ++r) {
       _mm512_storeu_si512(acc + r * ldc, accv[r]);
     }
@@ -600,16 +730,16 @@ void QMatMulVnni(const int8_t* qa, const int8_t* qw, int32_t* acc,
                  int64_t m, int64_t k, int64_t n, int64_t tiles,
                  int64_t rows_grain) {
   const int64_t k4 = (k + 3) / 4;
-  std::vector<int8_t> wpack(tiles * k4 * kColTile * 4);
-  std::vector<int32_t> init(tiles * kColTile, 0);
+  std::vector<int8_t> wpack(tiles * k4 * kQColTile * 4);
+  std::vector<int32_t> init(tiles * kQColTile, 0);
   for (int64_t t = 0; t < tiles; ++t) {
-    const int64_t j0 = t * kColTile;
-    const int64_t cols = std::min<int64_t>(kColTile, n - j0);
-    int8_t* dst = wpack.data() + t * k4 * kColTile * 4;
-    int32_t* seed = init.data() + t * kColTile;
+    const int64_t j0 = t * kQColTile;
+    const int64_t cols = std::min<int64_t>(kQColTile, n - j0);
+    int8_t* dst = wpack.data() + t * k4 * kQColTile * 4;
+    int32_t* seed = init.data() + t * kQColTile;
     for (int64_t kk4 = 0; kk4 < k4; ++kk4) {
-      int8_t* drow = dst + kk4 * kColTile * 4;
-      for (int64_t jc = 0; jc < kColTile; ++jc) {
+      int8_t* drow = dst + kk4 * kQColTile * 4;
+      for (int64_t jc = 0; jc < kQColTile; ++jc) {
         for (int64_t b = 0; b < 4; ++b) {
           const int64_t kk = kk4 * 4 + b;
           const int8_t w =
@@ -637,43 +767,43 @@ void QMatMulVnni(const int8_t* qa, const int8_t* qw, int32_t* acc,
       const int rows = static_cast<int>(
           std::min<int64_t>(kQRowBlockVnni, i1 - i));
       for (int64_t t = 0; t < tiles; ++t) {
-        const int64_t j0 = t * kColTile;
-        const int64_t cols = std::min<int64_t>(kColTile, n - j0);
+        const int64_t j0 = t * kQColTile;
+        const int64_t cols = std::min<int64_t>(kQColTile, n - j0);
         RunQMicroKernelVnni(rows, apack.data() + i * k4, k4,
-                            wpack.data() + t * k4 * kColTile * 4, k4,
-                            init.data() + t * kColTile,
+                            wpack.data() + t * k4 * kQColTile * 4, k4,
+                            init.data() + t * kQColTile,
                             acc + i * n + j0, n, cols);
       }
     }
   });
 }
-#endif  // AG_HAVE_QVNNI
+#endif  // AG_HAVE_AVX512
 
 constexpr int64_t kQRowBlock = 4;
 
 void QMatMulAvx2(const int8_t* qa, const int8_t* qw, int32_t* acc,
                  int64_t m, int64_t k, int64_t n) {
-  const int64_t tiles = (n + kColTile - 1) / kColTile;
+  const int64_t tiles = (n + kQColTile - 1) / kQColTile;
   const int64_t rows_grain_v =
       std::max<int64_t>(1, kElementGrain / std::max<int64_t>(1, k * n));
-#if defined(AG_HAVE_QVNNI)
+#if defined(AG_HAVE_AVX512)
   if (Vnni512Available()) {
     QMatMulVnni(qa, qw, acc, m, k, n, tiles, rows_grain_v);
     return;
   }
 #endif
   const int64_t k2 = (k + 1) / 2;
-  std::vector<int16_t> pack(tiles * k2 * kColTile * 2);
+  std::vector<int16_t> pack(tiles * k2 * kQColTile * 2);
   for (int64_t t = 0; t < tiles; ++t) {
-    const int64_t j0 = t * kColTile;
-    const int64_t cols = std::min<int64_t>(kColTile, n - j0);
-    int16_t* dst = pack.data() + t * k2 * kColTile * 2;
+    const int64_t j0 = t * kQColTile;
+    const int64_t cols = std::min<int64_t>(kQColTile, n - j0);
+    int16_t* dst = pack.data() + t * k2 * kQColTile * 2;
     for (int64_t kk2 = 0; kk2 < k2; ++kk2) {
       const int64_t kk = kk2 * 2;
       const int8_t* w0 = qw + kk * n + j0;
       const int8_t* w1 = kk + 1 < k ? qw + (kk + 1) * n + j0 : nullptr;
-      int16_t* drow = dst + kk2 * kColTile * 2;
-      for (int64_t jc = 0; jc < kColTile; ++jc) {
+      int16_t* drow = dst + kk2 * kQColTile * 2;
+      for (int64_t jc = 0; jc < kQColTile; ++jc) {
         drow[jc * 2] = jc < cols ? static_cast<int16_t>(w0[jc]) : 0;
         drow[jc * 2 + 1] =
             (w1 != nullptr && jc < cols) ? static_cast<int16_t>(w1[jc]) : 0;
@@ -703,10 +833,10 @@ void QMatMulAvx2(const int8_t* qa, const int8_t* qw, int32_t* acc,
       const int rows = static_cast<int>(
           std::min<int64_t>(kQRowBlock, i1 - i));
       for (int64_t t = 0; t < tiles; ++t) {
-        const int64_t j0 = t * kColTile;
-        const int64_t cols = std::min<int64_t>(kColTile, n - j0);
+        const int64_t j0 = t * kQColTile;
+        const int64_t cols = std::min<int64_t>(kQColTile, n - j0);
         RunQMicroKernel(rows, apack.data() + i * k2, k2,
-                        pack.data() + t * k2 * kColTile * 2, k2,
+                        pack.data() + t * k2 * kQColTile * 2, k2,
                         acc + i * n + j0, n, cols);
       }
     }
@@ -739,7 +869,11 @@ const KernelTable& Avx2KernelTable() {
   static const KernelTable table = [] {
     KernelTable t;
     t.backend = KernelBackend::kAvx2;
-    t.matmul = &MatMulAvx2;
+    t.matmul = &MatMulDriver<Ymm>;
+#if defined(AG_HAVE_AVX512)
+    // Same numerics, twice the lanes: the backend keeps its name.
+    if (Avx512FAvailable()) t.matmul = &MatMulDriver<Zmm>;
+#endif
     t.vexp = &VExp;
     t.vtanh = &VTanh;
     t.vsigmoid = &VSigmoid;
@@ -749,6 +883,14 @@ const KernelTable& Avx2KernelTable() {
     return t;
   }();
   return table;
+}
+
+MatMulKernel Avx2MatMulAtWidth(int bits) {
+  if (bits == 256) return &MatMulDriver<Ymm>;
+#if defined(AG_HAVE_AVX512)
+  if (bits == 512 && Avx512FAvailable()) return &MatMulDriver<Zmm>;
+#endif
+  return nullptr;
 }
 
 }  // namespace ag::tensor::simd

@@ -1347,7 +1347,7 @@ inline void FusedApplyBlock(const FusedStep& s, const float* a,
 
 }  // namespace
 
-Tensor FusedEval(const FusedProgram& program, std::vector<Tensor> inputs) {
+Tensor FusedEval(const FusedProgram& program, std::span<Tensor> inputs) {
   if (static_cast<int>(inputs.size()) != program.num_inputs ||
       program.steps.empty()) {
     throw InternalError("FusedEval: program/input arity mismatch");

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,11 +63,12 @@ struct FusedProgram {
   DType out_dtype = DType::kFloat32;
 };
 
-// Evaluates `program` over broadcast inputs in one pass. Takes the
-// inputs by value so a sole-owned full-shape operand's buffer can be
+// Evaluates `program` over broadcast inputs in one pass. The inputs
+// are the caller's, taken by reference so the call copies no handle: a
+// sole-owned full-shape operand's buffer is moved out of its slot and
 // reused for the output (same refcount rule as the rvalue ops below).
 [[nodiscard]] Tensor FusedEval(const FusedProgram& program,
-                               std::vector<Tensor> inputs);
+                               std::span<Tensor> inputs);
 
 // ---- Elementwise binary (broadcasting) ----
 // Each op also has an rvalue overload that writes in place when one of

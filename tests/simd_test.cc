@@ -10,8 +10,10 @@
 //   - vsigmoidf: <= 8 ulp.
 //   - MatMul: reassociated FMA accumulation — compared against the
 //     scalar backend by relative error, not bits, and bit for bit
-//     against an ascending-k std::fmaf chain. Per-element results are
-//     deterministic (independent of threads, shard layout and packing).
+//     against an ascending-k std::fmaf chain at each vector width (256
+//     and, on AVX-512F CPUs, 512 bits). Per-element results are
+//     deterministic (independent of width, threads, shard layout and
+//     packing).
 // Within one backend, fused and unfused evaluation stay bit-identical:
 // FusedStepAvx2 only vectorizes ops whose vector semantics match the
 // scalar functor exactly, so this file re-runs the fusion A/B identity
@@ -25,6 +27,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iostream>
 #include <limits>
 #include <string>
 #include <vector>
@@ -54,7 +57,11 @@ namespace {
 using exec::RuntimeValue;
 using tensor::simd::Avx2Available;
 using tensor::simd::KernelBackend;
+using tensor::simd::KernelBackendName;
 using tensor::simd::KernelBackendScope;
+using tensor::simd::MatMulKernel;
+using tensor::simd::MatMulKernelForTesting;
+using tensor::simd::TableFor;
 
 // Monotone integer key: equal-spaced in ulps, ordered like the reals,
 // with +0 == -0.
@@ -238,28 +245,45 @@ TEST(SimdMatMul, DeterministicAcrossThreadBudgets) {
 }
 
 // The exact contract behind both tests above: every C[i][j] is a
-// std::fmaf chain over ascending k from +0, however B is read (in place,
-// through the masked partial tile, or from packed panels) and at any
-// intra-op budget. m = 1..13 covers every row-block tail; the n values
-// cover partial tiles on either side of 8 and 16 lanes.
-TEST(SimdMatMul, Avx2IsAscendingKFmaChainBitForBit) {
-  if (!Avx2Available()) GTEST_SKIP() << "no AVX2";
-  struct Case {
-    int64_t m, k, n;
-  };
-  std::vector<Case> cases;
-  for (int64_t m = 1; m <= 13; ++m) {
-    for (int64_t n : {1, 5, 15, 16, 17, 31, 33, 128}) {
+// std::fmaf chain over ascending k from +0, whatever the vector width
+// and however B is read (in place, through the masked partial tile, or
+// from packed panels), at any intra-op budget. m = 1..17 covers every
+// row-block tail of both widths (6-row blocks at 256 bits, 8-row blocks
+// at 512); the n values cover partial tiles on either side of 8, 16 and
+// 32 lanes and the edges of 16- and 32-column tiles.
+struct MatMulCase {
+  int64_t m, k, n;
+};
+
+std::vector<MatMulCase> FmaChainCases() {
+  std::vector<MatMulCase> cases;
+  for (int64_t m = 1; m <= 17; ++m) {
+    for (int64_t n : {1, 5, 15, 16, 17, 31, 32, 33, 47, 48, 63, 64, 65, 128}) {
       cases.push_back({m, 19, n});
     }
   }
-  // Either side of the pack threshold (more than one 6-row block, and
-  // row blocks x k x n >= 2Mi floats): read in place, then packed with
-  // full tiles and with a 9-lane partial tile.
-  cases.push_back({7, 300, 300});
-  cases.push_back({8, 1024, 1024});
-  cases.push_back({13, 1000, 1001});
-  for (const Case& c : cases) {
+  // Either side of each width's pack rule. At 256 bits (more than one
+  // 6-row block, and row blocks x k x n >= 2Mi floats) 7x300^2 and both
+  // 33x512 shapes read B in place; the rest pack, 13x1000x1001 and
+  // 33x600x601 through a 9-lane partial tile. At 512 bits (at least five
+  // 8-row blocks and k x n >= 320Ki floats) only the last two pack,
+  // 33x600x601 through a 25-lane partial tile; 32x1024^2 has four blocks
+  // and 33x512x639 a B one row short of the line.
+  cases.insert(cases.end(), {{7, 300, 300},
+                             {8, 1024, 1024},
+                             {13, 1000, 1001},
+                             {32, 1024, 1024},
+                             {33, 512, 639},
+                             {33, 512, 640},
+                             {33, 600, 601}});
+  return cases;
+}
+
+// Runs `matmul(a, b, m, k, n)` over every case at intra-op budgets 0
+// and 4 and holds its output to the std::fmaf chain bit for bit.
+template <typename Run>
+void ExpectAscendingKFmaChain(Run matmul) {
+  for (const MatMulCase& c : FmaChainCases()) {
     SCOPED_TRACE("m=" + std::to_string(c.m) + " k=" + std::to_string(c.k) +
                  " n=" + std::to_string(c.n));
     const Tensor a = RandomTensor(c.m, c.k, 5 * c.m + c.n);
@@ -276,17 +300,66 @@ TEST(SimdMatMul, Avx2IsAscendingKFmaChainBitForBit) {
         want[static_cast<size_t>(i * c.n + j)] = acc;
       }
     }
-    KernelBackendScope scope(KernelBackend::kAvx2);
     for (int budget : {0, 4}) {
       runtime::IntraOpScope intra(budget);
-      const Tensor got = MatMul(a, b);
-      ASSERT_EQ(got.num_elements(), c.m * c.n);
+      const std::vector<float> got = matmul(a, b, c.m, c.k, c.n);
+      ASSERT_EQ(got.size(), want.size());
       EXPECT_EQ(std::memcmp(got.data(), want.data(),
                             want.size() * sizeof(float)),
                 0)
           << "budget " << budget;
     }
   }
+}
+
+// One vector width of the avx2 MatMul, called directly.
+void ExpectWidthIsAscendingKFmaChain(MatMulKernel kernel) {
+  ExpectAscendingKFmaChain([kernel](const Tensor& a, const Tensor& b,
+                                    int64_t m, int64_t k, int64_t n) {
+    std::vector<float> c(static_cast<size_t>(m * n));
+    kernel(a.data(), b.data(), c.data(), m, k, n);
+    return c;
+  });
+}
+
+// The table's kernel, through the MatMul op: on this CPU's widest width.
+TEST(SimdMatMul, Avx2IsAscendingKFmaChainBitForBit) {
+  if (!Avx2Available()) GTEST_SKIP() << "no AVX2";
+  KernelBackendScope scope(KernelBackend::kAvx2);
+  ExpectAscendingKFmaChain([](const Tensor& a, const Tensor& b, int64_t,
+                              int64_t, int64_t) {
+    const Tensor out = MatMul(a, b);
+    return std::vector<float>(out.data(), out.data() + out.num_elements());
+  });
+}
+
+TEST(SimdMatMul, Width256IsAscendingKFmaChainBitForBit) {
+  const MatMulKernel kernel = MatMulKernelForTesting(256);
+  if (kernel == nullptr) GTEST_SKIP() << "no AVX2: 256-bit MatMul not run";
+  ExpectWidthIsAscendingKFmaChain(kernel);
+}
+
+TEST(SimdMatMul, Width512IsAscendingKFmaChainBitForBit) {
+  const MatMulKernel kernel = MatMulKernelForTesting(512);
+  if (kernel == nullptr) {
+    GTEST_SKIP() << "CPU (or compiler) lacks AVX-512F: 512-bit MatMul not run";
+  }
+  ExpectWidthIsAscendingKFmaChain(kernel);
+}
+
+// The avx2 table takes the widest width this CPU runs; without AVX-512F
+// it is the 256-bit kernel.
+TEST(SimdMatMul, Avx2TableRunsWidestWidth) {
+  if (!Avx2Available()) GTEST_SKIP() << "no AVX2";
+  const MatMulKernel widest = MatMulKernelForTesting(512) != nullptr
+                                  ? MatMulKernelForTesting(512)
+                                  : MatMulKernelForTesting(256);
+  EXPECT_EQ(TableFor(KernelBackend::kAvx2).matmul, widest);
+  EXPECT_STREQ(KernelBackendName(TableFor(KernelBackend::kAvx2).backend),
+               "avx2");
+  std::cout << "avx2 MatMul width: "
+            << (MatMulKernelForTesting(512) != nullptr ? 512 : 256)
+            << " bits\n";
 }
 
 // --- Fused vs unfused, per backend ----------------------------------------
